@@ -20,6 +20,7 @@ are byte-comparable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from .config import (
 )
 from . import engine
 from . import oscillator as osc
-from .linalg import top_k_eigenpairs, unitary_exponential
+from .linalg import block_eigendecompose, top_k_eigenpairs, unitary_from_blocks
 
 DEFAULT_EPSILON = 1e-6
 COMPARE_TOLERANCES = {
@@ -87,30 +88,19 @@ class _Model:
 
 
 def _resolve_params(cfg: ExperimentConfig, cutoff: int | None) -> osc.OscillatorParams:
-    n_a = cutoff if cutoff is not None else cfg.n_max_a
-    n_b = cutoff if cutoff is not None else cfg.n_max_b
-    tau = cfg.tau
     base = osc.OscillatorParams(
         big_omega=cfg.big_omega,
         omega=cfg.omega,
         g=cfg.g,
         alpha=cfg.alpha,
         beta=cfg.beta,
-        tau=tau if tau is not None else 0.0,
-        n_max_a=n_a,
-        n_max_b=n_b,
+        tau=cfg.tau if cfg.tau is not None else 0.0,
+        n_max_a=cutoff if cutoff is not None else cfg.n_max_a,
+        n_max_b=cutoff if cutoff is not None else cfg.n_max_b,
     )
-    if tau is None:
-        tuned = osc.tuned_tau(base, cfg.tuned_m, cfg.tuned_branch)
-        return osc.OscillatorParams(
-            big_omega=cfg.big_omega,
-            omega=cfg.omega,
-            g=cfg.g,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            tau=tuned,
-            n_max_a=n_a,
-            n_max_b=n_b,
+    if cfg.tau is None:
+        return dataclasses.replace(
+            base, tau=osc.tuned_tau(base, cfg.tuned_m, cfg.tuned_branch)
         )
     return base
 
@@ -331,9 +321,12 @@ def cmd_compare(args) -> int:
         if value > tol:
             breached = True
 
+    # One block decomposition of H serves both the factorization check and V.
+    blocks = block_eigendecompose(model.system.hamiltonian)
+
     # Propagator factorization against the eigendecomposition route, on the
     # occupation block where truncation cannot reach.
-    u_direct = unitary_exponential(model.system.hamiltonian, params.tau)
+    u_direct = unitary_from_blocks(blocks, params.tau)
     u_product = osc.factorized_propagator(params)
     block_a = min(FACTORIZATION_BLOCK + 1, params.n_max_a)
     block_b = min(FACTORIZATION_BLOCK + 1, params.n_max_b)
@@ -351,7 +344,8 @@ def cmd_compare(args) -> int:
 
     v_eng = None
     try:
-        v_eng = _propagator(model)
+        model.phi = _oscillator_probe(params)
+        v_eng = engine.contract_probe(model.system, model.phi, blocks).propagator(params.tau)
     except osc.CutoffTooSmall as exc:
         check("propagator_block_max_dev", "propagator_block", None, str(exc))
     if v_eng is not None:

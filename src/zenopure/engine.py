@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigendecompose, top_k_eigenpairs
+from .linalg import HermitianBlock, block_eigendecompose, top_k_eigenpairs
 
 __all__ = [
     "ExtinctBranch",
@@ -29,6 +29,8 @@ __all__ = [
     "PurificationTrajectory",
     "ConditionsReport",
     "ZenoScanPoint",
+    "ProbeContraction",
+    "contract_probe",
     "build_projected_propagator",
     "evolve_step",
     "survival_probability",
@@ -215,26 +217,60 @@ class ZenoScanPoint:
     unitarity_defect: float
 
 
-def build_projected_propagator(sys: BipartiteSystem, phi: ProbeState,
-                               tau: float) -> ProjectedPropagator:
-    """Contract exp(-iH tau) with the probe state on both sides.
+@dataclass(frozen=True)
+class ProbeContraction:
+    """The probe-contracted eigenbasis of H, from which V follows at any tau.
 
-    result[i, j] = sum_{k,l} conj(phi_k) U[k*d_b + i, l*d_b + j] phi_l.
+    ``rows`` is W = (phi† ⊗ 1) Q, a dim_b x D matrix whose columns are the
+    eigenvectors of H contracted with the probe state, and ``energies`` the
+    matching eigenvalues E, so that V(tau) = W diag(exp(-i E tau)) W†.
+    """
+
+    rows: np.ndarray
+    energies: np.ndarray
+
+    def propagator(self, tau: float) -> ProjectedPropagator:
+        """The projected propagator V(tau)."""
+        w = self.rows
+        v = (w * np.exp(-1j * self.energies * float(tau))) @ w.conj().T
+        return ProjectedPropagator(matrix=v, tau=float(tau))
+
+
+def contract_probe(sys: BipartiteSystem, phi: ProbeState,
+                   blocks: tuple[HermitianBlock, ...]) -> ProbeContraction:
+    """Contract the eigenvectors of H with the probe state, block by block.
+
+    ``blocks`` is ``block_eigendecompose(sys.hamiltonian)``. A block
+    eigenvector q on composite indices a*dim_b + i contributes
+    conj(phi_a) q[a*dim_b + i] to entry i of its column of W.
     """
     if phi.dim != sys.dim_a:
         raise ValueError(
             f"probe dimension {phi.dim} does not match dim_a {sys.dim_a}"
         )
-    eig = hermitian_eigendecompose(sys.hamiltonian)
-    q = eig.eigenvectors
-    u = (q * np.exp(-1j * eig.eigenvalues * float(tau))) @ q.conj().T
-    v = _project(u, phi.amplitudes, sys.dim_a, sys.dim_b)
-    return ProjectedPropagator(matrix=v, tau=float(tau))
+    conj_phi = phi.amplitudes.conj()
+    columns = []
+    for block in blocks:
+        probe_index, b_index = np.divmod(block.indices, sys.dim_b)
+        w = np.zeros((sys.dim_b, len(block.indices)), dtype=complex)
+        np.add.at(w, b_index, conj_phi[probe_index, None] * block.eigenvectors)
+        columns.append(w)
+    return ProbeContraction(
+        rows=np.hstack(columns),
+        energies=np.concatenate([block.eigenvalues for block in blocks]),
+    )
 
 
-def _project(u: np.ndarray, phi: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
-    blocks = u.reshape(dim_a, dim_b, dim_a, dim_b)
-    return np.einsum("k,kilj,l->ij", phi.conj(), blocks, phi)
+def build_projected_propagator(sys: BipartiteSystem, phi: ProbeState,
+                               tau: float) -> ProjectedPropagator:
+    """Contract exp(-iH tau) with the probe state on both sides.
+
+    result[i, j] = sum_{k,l} conj(phi_k) U[k*d_b + i, l*d_b + j] phi_l with
+    U = exp(-iH tau), evaluated as W diag(exp(-i E tau)) W† from the block
+    eigendecomposition of H (see ``contract_probe``); U is never formed.
+    """
+    blocks = block_eigendecompose(sys.hamiltonian)
+    return contract_probe(sys, phi, blocks).propagator(tau)
 
 
 def evolve_step(rho: DensityMatrix, v: ProjectedPropagator,
@@ -379,7 +415,8 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
                     total_time: float, n_values, jobs: int = 1) -> list[ZenoScanPoint]:
     """Split a fixed total time into n confirmations and scan n.
 
-    For each n the propagator V(total_time / n) is built once, W = V^n is
+    H is decomposed once for the whole scan. For each n the propagator
+    V(total_time / n) then costs one small matrix product, W = V^n is
     formed, and the scan records the n-step yield tr(W rho0 W†) together
     with the unitarity defect ||W†W - 1||_F. As n grows the repeated
     projection freezes the leakage out of the probe state and W approaches
@@ -401,17 +438,12 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
         raise ValueError(
             f"state dimension {rho0.dim} does not match dim_b {sys.dim_b}"
         )
-    eig = hermitian_eigendecompose(sys.hamiltonian)
-    q = eig.eigenvectors
-    qh = q.conj().T
+    contraction = contract_probe(sys, phi, block_eigendecompose(sys.hamiltonian))
     eye = np.eye(sys.dim_b)
 
     def point(n: int) -> ZenoScanPoint:
         tau = total_time / n
-        u = (q * np.exp(-1j * eig.eigenvalues * tau)) @ qh
-        v = ProjectedPropagator(
-            matrix=_project(u, phi.amplitudes, sys.dim_a, sys.dim_b), tau=tau
-        )
+        v = contraction.propagator(tau)
         w = np.linalg.matrix_power(v.matrix, n)
         prob = float(np.trace(w @ rho0.matrix @ w.conj().T).real)
         defect = float(np.linalg.norm(w.conj().T @ w - eye))

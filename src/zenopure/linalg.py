@@ -1,9 +1,15 @@
-"""Dense complex linear algebra for contraction spectra.
+"""Complex linear algebra for contraction spectra.
 
 Tensor products, Hermitian eigendecomposition, unitary exponentials, and
 dominant-eigenpair extraction for the non-Hermitian contractions that
-repeated-measurement propagators produce. Everything is dense complex128;
-desk-scale dimensions are assumed throughout.
+repeated-measurement propagators produce. Arrays are dense complex128, but
+a Hermitian matrix is never diagonalized whole when it need not be: the
+connected components of its nonzero pattern (``coupled_blocks``) are
+independent diagonal blocks, each eigendecomposed on its own
+(``block_eigendecompose``), and exp(-iHt) is assembled from them block by
+block. A conserved quantity such as a total excitation number therefore
+turns one D x D problem into many small ones; a fully coupled matrix is a
+single block and is decomposed as it stands.
 
 The eigenpair routines deliberately use power iteration with a Rayleigh
 quotient and rank-1 deflation rather than a full QR spectrum: only the top
@@ -24,11 +30,15 @@ __all__ = [
     "NoConvergence",
     "DimensionLimitExceeded",
     "HermitianEigenDecomposition",
+    "HermitianBlock",
     "EigenPair",
     "TopKResult",
     "tensor_product",
     "adjoint",
     "hermitian_eigendecompose",
+    "coupled_blocks",
+    "block_eigendecompose",
+    "unitary_from_blocks",
     "unitary_exponential",
     "dominant_eigenpair",
     "deflate",
@@ -92,6 +102,21 @@ class HermitianEigenDecomposition:
     orthonormal columns.
     """
 
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+@dataclass(frozen=True)
+class HermitianBlock:
+    """One diagonal block of a Hermitian matrix that no nonzero entry couples
+    to the rest of it.
+
+    indices are the block's rows (and columns) of the full matrix, ascending;
+    eigenvalues and eigenvectors decompose the block itself, so eigenvectors
+    is len(indices) x len(indices) and its rows follow ``indices``.
+    """
+
+    indices: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -175,14 +200,76 @@ def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecompositio
     return HermitianEigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def unitary_exponential(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via the spectral decomposition.
+def coupled_blocks(m) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of m.
 
-    Returns Q diag(exp(-i E t)) Q†, unitary up to rounding.
+    Indices i and j share a component when a chain of exactly nonzero
+    entries m[i, k], m[k, l], ..., in either orientation, links them. Each
+    set is ascending and the sets are ordered by their smallest index, so a
+    matrix without zero couplings is one block, arange(n).
     """
-    eig = hermitian_eigendecompose(h)
-    q = eig.eigenvectors
-    return (q * np.exp(-1j * eig.eigenvalues * float(t))) @ q.conj().T
+    return _coupled_blocks(_as_square(m))
+
+
+def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
+    # Every index starts labelled by itself. Each pass gives every index the
+    # smallest label among its neighbours, then replaces each label by that
+    # label's own label (pointer jumping, which keeps the number of passes
+    # far below the length of the longest chain), until nothing changes.
+    n = a.shape[0]
+    pattern = a != 0
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    starts = np.searchsorted(rows, np.arange(n))
+    label = np.arange(n)
+    while True:
+        smaller = np.minimum.reduceat(label[cols], starts)
+        smaller = smaller[smaller]
+        if np.array_equal(smaller, label):
+            break
+        label = smaller
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def block_eigendecompose(m, tol: float = 1e-9) -> tuple[HermitianBlock, ...]:
+    """Eigendecompose a Hermitian matrix one coupled block at a time.
+
+    The blocks are those of ``coupled_blocks``; each is passed through
+    ``hermitian_eigendecompose``, symmetry check included. A matrix that is
+    one block is passed as it stands, without copying it out.
+    """
+    a = _as_square(m)
+    blocks = _coupled_blocks(a)
+    out = []
+    for idx in blocks:
+        eig = hermitian_eigendecompose(a if len(blocks) == 1 else a[np.ix_(idx, idx)], tol)
+        out.append(HermitianBlock(idx, eig.eigenvalues, eig.eigenvectors))
+    return tuple(out)
+
+
+def unitary_from_blocks(blocks: tuple[HermitianBlock, ...], t: float) -> np.ndarray:
+    """exp(-i h t) assembled from ``block_eigendecompose(h)``.
+
+    Each block contributes Q diag(exp(-i E t)) Q† on its own indices; every
+    entry between two different blocks is zero.
+    """
+    d = sum(len(b.indices) for b in blocks)
+    u = np.zeros((d, d), dtype=complex)
+    for b in blocks:
+        q = b.eigenvectors
+        phases = np.exp(-1j * b.eigenvalues * float(t))
+        u[np.ix_(b.indices, b.indices)] = (q * phases) @ q.conj().T
+    return u
+
+
+def unitary_exponential(h, t: float) -> np.ndarray:
+    """exp(-i h t) for Hermitian h, via the block spectral decomposition.
+
+    Returns Q diag(exp(-i E t)) Q† block by block, unitary up to rounding.
+    """
+    return unitary_from_blocks(block_eigendecompose(h), t)
 
 
 def _power_iterate(step: np.ndarray, reference: np.ndarray, tol: float,

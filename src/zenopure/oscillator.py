@@ -14,6 +14,12 @@ Everything is evaluated branch-free: only e^B, e^C, e^{-C} and |e^C| appear,
 never a complex logarithm, so no branch choice can silently corrupt a
 result. The dominant eigenvalue is computed two independent ways (an
 exponential form and a cotangent form) and the two are asserted to agree.
+
+H conserves the total excitation number n_a + n_b, and so do a†b and a b†:
+the Hamiltonian and the four-factor product are block-diagonal in it, and
+factorized_propagator works one excitation block at a time. scipy is
+imported inside the closed forms that use it, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .engine import BipartiteSystem, DensityMatrix
 
@@ -255,6 +259,8 @@ def eigenvector_u_n(c: ClosedFormCoefficients, n: int, cutoff: int) -> np.ndarra
         vec = np.zeros(cutoff, dtype=complex)
         vec[n] = 1.0
         return vec
+    from scipy.linalg import expm
+
     alpha = c.alpha_tilde / r
     b = destroy(cutoff)
     gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
@@ -274,18 +280,15 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     basis, with number operators built exactly as integer diagonals.
     """
     na, nb = p.n_max_a, p.n_max_b
-    num_a = np.diag(np.arange(na, dtype=float)).astype(complex)
-    num_b = np.diag(np.arange(nb, dtype=float)).astype(complex)
-    a = destroy(na)
-    b = destroy(nb)
-    eye_a = np.eye(na, dtype=complex)
-    eye_b = np.eye(nb, dtype=complex)
-    coupling = np.kron(a.conj().T, b)
-    h = (
-        p.big_omega * np.kron(num_a, eye_b)
-        + p.omega * np.kron(eye_a, num_b)
-        + 1j * p.g * (coupling - coupling.conj().T)
-    )
+    occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
+    h = np.zeros((na * nb, na * nb), dtype=complex)
+    h[np.diag_indices(na * nb)] = p.big_omega * occ_a + p.omega * occ_b
+    # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
+    # index + nb - 1; -i g a b† is its adjoint.
+    src = np.flatnonzero((occ_a < na - 1) & (occ_b > 0))
+    amp = 1j * p.g * (np.sqrt(occ_a[src] + 1.0) * np.sqrt(occ_b[src]))
+    h[src + nb - 1, src] = amp
+    h[src, src + nb - 1] = amp.conj()
     return BipartiteSystem(dim_a=na, dim_b=nb, hamiltonian=h)
 
 
@@ -303,6 +306,8 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     if alpha == 0:
         amps[0] = 1.0
         return amps
+    from scipy.special import gammaln
+
     n = np.arange(cutoff, dtype=float)
     mag = np.exp(n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) - abs(alpha) ** 2 / 2)
     amps = mag * np.exp(1j * n * np.angle(alpha))
@@ -346,6 +351,8 @@ def closed_form_rho(p: OscillatorParams, n: int) -> ThermalTrajectoryClosedForm:
     gauge_norm = float(1.0 - c.abs_exp_c ** (2 * n) * boltz)
     if not 0.0 < gauge_norm <= 1.0:
         raise ArithmeticError(f"gauge norm {gauge_norm!r} left (0, 1]")
+    from scipy.linalg import expm
+
     zeta = p.alpha * theta / gauge_norm
     nb = p.n_max_b
     b = destroy(nb)
@@ -384,6 +391,8 @@ def closed_form_propagator(p: OscillatorParams) -> np.ndarray:
     r = c.a_coef / (1.0 - c.exp_neg_c)
     if r == 0:
         return np.diag(c.lambda0 * powers)
+    from scipy.linalg import expm
+
     alpha = c.alpha_tilde / r
     b = destroy(nb)
     gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
@@ -396,8 +405,9 @@ def factorized_propagator(p: OscillatorParams) -> np.ndarray:
     """exp(-iH tau) as the exact four-factor product on the truncated space.
 
     e^{A a†b} (e^B)^{a†a} (e^C)^{b†b} e^{-A a b†}, with the diagonal factors
-    raised entrywise from e^B and e^C (no logarithms). Exact on the infinite
-    space; truncation error concentrates at the Fock boundary, so
+    raised entrywise from e^B and e^C (no logarithms), formed on each block
+    of fixed n_a + n_b and assembled into the D x D matrix. Exact on the
+    infinite space; truncation error concentrates at the Fock boundary, so
     comparisons against the eigendecomposition route should restrict to an
     interior block. tau = 0 returns the identity (the zero-time limit of
     the product, whose coefficient set is otherwise out of range).
@@ -405,16 +415,20 @@ def factorized_propagator(p: OscillatorParams) -> np.ndarray:
     na, nb = p.n_max_a, p.n_max_b
     if p.tau == 0:
         return np.eye(na * nb, dtype=complex)
+    from scipy.linalg import expm
+
     c = coefficients(p)
-    a = destroy(na)
-    b = destroy(nb)
-    eye_a = np.eye(na, dtype=complex)
-    eye_b = np.eye(nb, dtype=complex)
-    f_raise = expm(c.a_coef * np.kron(a.conj().T, b))
-    f_a = np.kron(np.diag(c.exp_b ** np.arange(na)), eye_b)
-    f_b = np.kron(eye_a, np.diag(c.exp_c ** np.arange(nb)))
-    f_lower = expm(-c.a_coef * np.kron(a, b.conj().T))
-    return f_raise @ f_a @ f_b @ f_lower
+    occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
+    out = np.zeros((na * nb, na * nb), dtype=complex)
+    for k in range(na + nb - 1):
+        # States with n_a + n_b = k, by ascending n_a; a†b moves each one to
+        # the next, a b† to the previous.
+        idx = np.flatnonzero(occ_a + occ_b == k)
+        a_k, b_k = occ_a[idx], occ_b[idx]
+        up = np.diag(np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1]), k=-1)
+        diagonal = c.exp_b ** a_k * c.exp_c ** b_k
+        out[np.ix_(idx, idx)] = (expm(c.a_coef * up) * diagonal) @ expm(-c.a_coef * up.T)
+    return out
 
 
 def tuned_tau(p: OscillatorParams, m: int, branch: str) -> float:

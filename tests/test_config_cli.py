@@ -1,12 +1,16 @@
 """Tests for the config format, matrix file IO, and the command line."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenopure
 from zenopure import cli
 from zenopure.config import (
     ConfigError,
@@ -488,6 +492,33 @@ def test_golden_zeno_scan(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "zeno", "--config", cfg)
     assert code == 0
     assert out == golden
+
+
+def run_fresh(args, env_overrides=None):
+    """Run Python in a fresh interpreter that imports this checkout's zenopure."""
+    env = dict(os.environ, **(env_overrides or {}))
+    src = str(pathlib.Path(zenopure.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", ["figure1", "zeno"])
+def test_output_independent_of_blas_threads(tmp_path, command):
+    argv = ["-m", "zenopure.cli", command]
+    if command == "zeno":
+        argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
+    outputs = {threads: run_fresh(argv, {"OPENBLAS_NUM_THREADS": threads})
+               for threads in ("1", "2")}
+    assert outputs["1"] == outputs["2"]
+    golden = "figure1.csv" if command == "figure1" else "zeno_scan.csv"
+    assert outputs["1"] == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def test_import_does_not_load_scipy():
+    out = run_fresh(["-c", "import sys, zenopure; print('scipy' in sys.modules)"])
+    assert out.strip() == "False"
 
 
 def test_tol_override(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from zenopure.engine import (
     BipartiteSystem,
@@ -118,6 +120,31 @@ def test_propagator_decoupled_hamiltonian():
     np.testing.assert_allclose(v.matrix, expected, atol=1e-12)
     # unitary up to phase
     np.testing.assert_allclose(v.matrix @ v.matrix.conj().T, np.eye(3), atol=1e-12)
+
+
+@given(seed=st.integers(0, 10_000), dim_a=st.integers(1, 3), dim_b=st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_propagator_hidden_blocks_match_expm(seed, dim_a, dim_b):
+    # A block-diagonal H hidden by a random permutation: the block route must
+    # find the blocks and agree with a dense matrix exponential.
+    rng = np.random.default_rng(seed)
+    d = dim_a * dim_b
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
+    h = np.zeros((d, d), dtype=complex)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
+        a = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
+        h[lo:hi, lo:hi] = (a + a.conj().T) / 2
+    perm = rng.permutation(d)
+    h = h[np.ix_(perm, perm)]
+    phi = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
+    phi /= np.linalg.norm(phi)
+    tau = rng.uniform(0.1, 3.0)
+    v = build_projected_propagator(
+        BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=h), ProbeState(phi), tau
+    )
+    u = scipy.linalg.expm(-1j * tau * h).reshape(dim_a, dim_b, dim_a, dim_b)
+    expected = np.einsum("k,kilj,l->ij", phi.conj(), u, phi)
+    np.testing.assert_allclose(v.matrix, expected, rtol=0, atol=1e-12)
 
 
 def test_propagator_matches_closed_form_low_block():

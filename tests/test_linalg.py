@@ -14,6 +14,8 @@ from zenopure.linalg import (
     NoConvergence,
     NotHermitian,
     adjoint,
+    block_eigendecompose,
+    coupled_blocks,
     deflate,
     dominant_eigenpair,
     hermitian_eigendecompose,
@@ -188,6 +190,52 @@ def test_unitary_exponential_is_unitary(seed, dim):
     h = (a + a.conj().T) / 2
     u = unitary_exponential(h, rng.uniform(0, 5))
     assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9 * np.sqrt(dim)
+
+
+def test_coupled_blocks_fully_coupled_is_one_block():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    blocks = coupled_blocks(a + a.conj().T)
+    assert len(blocks) == 1
+    np.testing.assert_array_equal(blocks[0], np.arange(12))
+
+
+def test_coupled_blocks_chain_and_isolated():
+    # 0-3-1 chained through zero-free entries; 2 and 4 stand alone.
+    h = np.diag([1.0, 2.0, 3.0, 4.0, 0.0]).astype(complex)
+    h[0, 3] = h[3, 0] = 0.5
+    h[3, 1] = h[1, 3] = 0.25j
+    blocks = coupled_blocks(h)
+    assert [list(b) for b in blocks] == [[0, 1, 3], [2], [4]]
+
+
+def test_block_eigendecompose_checks_symmetry_per_block():
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    h[1, 2] = 1.0
+    with pytest.raises(NotHermitian):
+        block_eigendecompose(h)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_block_eigendecompose_reconstructs_hidden_blocks(seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, size=rng.integers(1, 5))
+    h = np.zeros((sizes.sum(),) * 2, dtype=complex)
+    start = 0
+    for m in sizes:
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        h[start:start + m, start:start + m] = a + a.conj().T
+        start += m
+    perm = rng.permutation(len(h))
+    h = h[np.ix_(perm, perm)]
+    blocks = block_eigendecompose(h)
+    assert sorted(len(b.indices) for b in blocks) == sorted(sizes)
+    rebuilt = np.zeros_like(h)
+    for b in blocks:
+        q = b.eigenvectors
+        rebuilt[np.ix_(b.indices, b.indices)] = (q * b.eigenvalues) @ q.conj().T
+    np.testing.assert_allclose(rebuilt, h, atol=1e-12)
 
 
 def test_dominant_eigenpair_diagonal():

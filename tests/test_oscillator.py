@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zenopure.engine import (
     DensityMatrix,
@@ -12,7 +13,7 @@ from zenopure.engine import (
     survival_probability,
     trace_distance,
 )
-from zenopure.linalg import dominant_eigenpair, unitary_exponential
+from zenopure.linalg import coupled_blocks, dominant_eigenpair, unitary_exponential
 from zenopure.oscillator import (
     ClosedFormCoefficients,
     CutoffTooSmall,
@@ -207,6 +208,36 @@ def test_eigenvector_errors():
 # ----------------------------------------------------------- hamiltonian
 
 
+def kron_hamiltonian(p: OscillatorParams) -> np.ndarray:
+    """The two-mode Hamiltonian from dense Kronecker products, as written."""
+    a, b = destroy(p.n_max_a), destroy(p.n_max_b)
+    eye_a, eye_b = np.eye(p.n_max_a), np.eye(p.n_max_b)
+    coupling = np.kron(a.conj().T, b)
+    return (
+        p.big_omega * np.kron(np.diag(np.arange(p.n_max_a, dtype=float)), eye_b)
+        + p.omega * np.kron(eye_a, np.diag(np.arange(p.n_max_b, dtype=float)))
+        + 1j * p.g * (coupling - coupling.conj().T)
+    )
+
+
+@pytest.mark.parametrize("n_max_a, n_max_b", [(4, 4), (5, 7), (7, 5)])
+def test_hamiltonian_matches_kron_construction(n_max_a, n_max_b):
+    p = OscillatorParams(1.3, 0.7, 0.2, 0.0, beta=1.0, tau=1.0,
+                         n_max_a=n_max_a, n_max_b=n_max_b)
+    np.testing.assert_array_equal(build_hamiltonian(p).hamiltonian, kron_hamiltonian(p))
+
+
+def test_hamiltonian_excitation_blocks():
+    # n_a + n_b is conserved: 59 blocks at cutoff 30, the largest (n = 29)
+    # holding 30 states, each block of one total excitation number.
+    h = build_hamiltonian(REFERENCE).hamiltonian
+    blocks = coupled_blocks(h)
+    assert len(blocks) == 59
+    assert max(len(b) for b in blocks) == 30
+    for idx in blocks:
+        assert len(set((idx // 30 + idx % 30).tolist())) == 1
+
+
 def test_hamiltonian_is_hermitian_and_coupled():
     sys_ = build_hamiltonian(
         OscillatorParams(1.3, 0.9, 0.25, 0.0, beta=1.0, tau=1.0, n_max_a=5, n_max_b=4)
@@ -332,6 +363,21 @@ def test_factorized_propagator_decoupled():
         np.diag(c.exp_b ** np.arange(6)), np.diag(c.exp_c ** np.arange(6))
     )
     np.testing.assert_allclose(factorized_propagator(p), expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_max_a, n_max_b", [(10, 10), (10, 7)])
+def test_factorized_propagator_matches_dense_product(n_max_a, n_max_b):
+    p = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=2.3,
+                         n_max_a=n_max_a, n_max_b=n_max_b)
+    c = coefficients(p)
+    a, b = destroy(n_max_a), destroy(n_max_b)
+    dense = (
+        scipy.linalg.expm(c.a_coef * np.kron(a.conj().T, b))
+        @ np.kron(np.diag(c.exp_b ** np.arange(n_max_a)), np.eye(n_max_b))
+        @ np.kron(np.eye(n_max_a), np.diag(c.exp_c ** np.arange(n_max_b)))
+        @ scipy.linalg.expm(-c.a_coef * np.kron(a, b.conj().T))
+    )
+    np.testing.assert_allclose(factorized_propagator(p), dense, rtol=0, atol=1e-12)
 
 
 def test_factorized_propagator_interior_block():
