@@ -14,29 +14,34 @@ installed as ``zenopure``).
 from .linalg import (
     DimensionLimitExceeded,
     EigenPair,
+    HermitianBlock,
     HermitianEigenDecomposition,
     NoConvergence,
     NotHermitian,
     TopKResult,
     adjoint,
+    block_eigendecompose,
     deflate,
     dominant_eigenpair,
     hermitian_eigendecompose,
     tensor_product,
     top_k_eigenpairs,
     unitary_exponential,
+    unitary_from_blocks,
 )
 from .engine import (
     BipartiteSystem,
     ConditionsReport,
     DensityMatrix,
     ExtinctBranch,
+    ProbeContraction,
     ProbeState,
     ProjectedPropagator,
     PurificationTrajectory,
     TrajectoryStep,
     ZenoScanPoint,
     build_projected_propagator,
+    contract_probe,
     evolve_step,
     fidelity,
     run_purification,
@@ -81,28 +86,33 @@ __all__ = [
     # linalg
     "DimensionLimitExceeded",
     "EigenPair",
+    "HermitianBlock",
     "HermitianEigenDecomposition",
     "NoConvergence",
     "NotHermitian",
     "TopKResult",
     "adjoint",
+    "block_eigendecompose",
     "deflate",
     "dominant_eigenpair",
     "hermitian_eigendecompose",
     "tensor_product",
     "top_k_eigenpairs",
     "unitary_exponential",
+    "unitary_from_blocks",
     # engine
     "BipartiteSystem",
     "ConditionsReport",
     "DensityMatrix",
     "ExtinctBranch",
+    "ProbeContraction",
     "ProbeState",
     "ProjectedPropagator",
     "PurificationTrajectory",
     "TrajectoryStep",
     "ZenoScanPoint",
     "build_projected_propagator",
+    "contract_probe",
     "evolve_step",
     "fidelity",
     "run_purification",

@@ -344,8 +344,8 @@ def cmd_compare(args) -> int:
 
     v_eng = None
     try:
-        model.phi = _oscillator_probe(params)
-        v_eng = engine.contract_probe(model.system, model.phi, blocks).propagator(params.tau)
+        phi = _oscillator_probe(params)
+        v_eng = engine.contract_probe(model.system, phi, blocks).propagator(params.tau)
     except osc.CutoffTooSmall as exc:
         check("propagator_block_max_dev", "propagator_block", None, str(exc))
     if v_eng is not None:

@@ -4,12 +4,12 @@ Tensor products, Hermitian eigendecomposition, unitary exponentials, and
 dominant-eigenpair extraction for the non-Hermitian contractions that
 repeated-measurement propagators produce. Arrays are dense complex128, but
 a Hermitian matrix is never diagonalized whole when it need not be: the
-connected components of its nonzero pattern (``coupled_blocks``) are
-independent diagonal blocks, each eigendecomposed on its own
-(``block_eigendecompose``), and exp(-iHt) is assembled from them block by
-block. A conserved quantity such as a total excitation number therefore
-turns one D x D problem into many small ones; a fully coupled matrix is a
-single block and is decomposed as it stands.
+connected components of its nonzero pattern are independent diagonal
+blocks, each eigendecomposed on its own (``block_eigendecompose``), and
+exp(-iHt) is assembled from them block by block. A conserved quantity
+such as a total excitation number therefore turns one D x D problem into
+many small ones; a fully coupled matrix is a single block and is
+decomposed as it stands.
 
 The eigenpair routines deliberately use power iteration with a Rayleigh
 quotient and rank-1 deflation rather than a full QR spectrum: only the top
@@ -36,7 +36,6 @@ __all__ = [
     "tensor_product",
     "adjoint",
     "hermitian_eigendecompose",
-    "coupled_blocks",
     "block_eigendecompose",
     "unitary_from_blocks",
     "unitary_exponential",
@@ -168,6 +167,14 @@ def adjoint(m) -> np.ndarray:
     return _as_matrix(m).conj().T.copy()
 
 
+def _check_hermitian(dev: float, scale: float, tol: float = 1e-9) -> None:
+    """Raise NotHermitian unless ||m - m†||_F = dev <= tol * ||m||_F = scale."""
+    if dev > tol * max(scale, _UNDERFLOW):
+        raise NotHermitian(
+            f"matrix is not Hermitian: ||m - m†||/||m|| = {dev / max(scale, _UNDERFLOW):.3e}"
+        )
+
+
 def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecomposition:
     """Eigendecompose a Hermitian matrix into ascending eigenvalues.
 
@@ -186,12 +193,7 @@ def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecompositio
         if the underlying iteration fails to converge.
     """
     a = _as_square(m)
-    scale = np.linalg.norm(a)
-    dev = np.linalg.norm(a - a.conj().T)
-    if dev > tol * max(scale, _UNDERFLOW):
-        raise NotHermitian(
-            f"matrix is not Hermitian: ||m - m†||/||m|| = {dev / max(scale, _UNDERFLOW):.3e}"
-        )
+    _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a), tol)
     sym = (a + a.conj().T) / 2
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -200,18 +202,14 @@ def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecompositio
     return HermitianEigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def coupled_blocks(m) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of m.
+def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of a.
 
     Indices i and j share a component when a chain of exactly nonzero
-    entries m[i, k], m[k, l], ..., in either orientation, links them. Each
+    entries a[i, k], a[k, l], ..., in either orientation, links them. Each
     set is ascending and the sets are ordered by their smallest index, so a
     matrix without zero couplings is one block, arange(n).
     """
-    return _coupled_blocks(_as_square(m))
-
-
-def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
     # Every index starts labelled by itself. Each pass gives every index the
     # smallest label among its neighbours, then replaces each label by that
     # label's own label (pointer jumping, which keeps the number of passes
@@ -233,18 +231,31 @@ def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def block_eigendecompose(m, tol: float = 1e-9) -> tuple[HermitianBlock, ...]:
+def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:
     """Eigendecompose a Hermitian matrix one coupled block at a time.
 
-    The blocks are those of ``coupled_blocks``; each is passed through
-    ``hermitian_eigendecompose``, symmetry check included. A matrix that is
-    one block is passed as it stands, without copying it out.
+    The blocks are the connected components of the exact nonzero pattern of
+    m; each is eigendecomposed by ``hermitian_eigendecompose``. The symmetry
+    test is the one ``hermitian_eigendecompose`` makes on m as a whole,
+    ||m - m†||_F <= 1e-9 ||m||_F, so a block whose own asymmetry is large
+    only against its own small norm is accepted, and its Hermitian part is
+    decomposed. A matrix that is one block is passed as it stands, without
+    copying it out.
     """
     a = _as_square(m)
     blocks = _coupled_blocks(a)
+    if len(blocks) == 1:
+        eig = hermitian_eigendecompose(a)
+        return (HermitianBlock(blocks[0], eig.eigenvalues, eig.eigenvectors),)
+    subs = [a[np.ix_(idx, idx)] for idx in blocks]
+    # No nonzero entry couples two blocks, so both Frobenius norms of the
+    # whole matrix are root sums of squares over its blocks.
+    scale = np.sqrt(sum(np.linalg.norm(s) ** 2 for s in subs))
+    dev = np.sqrt(sum(np.linalg.norm(s - s.conj().T) ** 2 for s in subs))
+    _check_hermitian(dev, scale)
     out = []
-    for idx in blocks:
-        eig = hermitian_eigendecompose(a if len(blocks) == 1 else a[np.ix_(idx, idx)], tol)
+    for idx, s in zip(blocks, subs):
+        eig = hermitian_eigendecompose((s + s.conj().T) / 2)
         out.append(HermitianBlock(idx, eig.eigenvalues, eig.eigenvectors))
     return tuple(out)
 

@@ -15,7 +15,6 @@ from zenopure.linalg import (
     NotHermitian,
     adjoint,
     block_eigendecompose,
-    coupled_blocks,
     deflate,
     dominant_eigenpair,
     hermitian_eigendecompose,
@@ -192,28 +191,46 @@ def test_unitary_exponential_is_unitary(seed, dim):
     assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9 * np.sqrt(dim)
 
 
-def test_coupled_blocks_fully_coupled_is_one_block():
+def test_block_eigendecompose_fully_coupled_is_one_block():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    blocks = coupled_blocks(a + a.conj().T)
+    blocks = block_eigendecompose(a + a.conj().T)
     assert len(blocks) == 1
-    np.testing.assert_array_equal(blocks[0], np.arange(12))
+    np.testing.assert_array_equal(blocks[0].indices, np.arange(12))
 
 
-def test_coupled_blocks_chain_and_isolated():
+def test_block_eigendecompose_chain_and_isolated():
     # 0-3-1 chained through zero-free entries; 2 and 4 stand alone.
     h = np.diag([1.0, 2.0, 3.0, 4.0, 0.0]).astype(complex)
     h[0, 3] = h[3, 0] = 0.5
-    h[3, 1] = h[1, 3] = 0.25j
-    blocks = coupled_blocks(h)
-    assert [list(b) for b in blocks] == [[0, 1, 3], [2], [4]]
+    h[1, 3], h[3, 1] = 0.25j, -0.25j
+    blocks = block_eigendecompose(h)
+    assert [list(b.indices) for b in blocks] == [[0, 1, 3], [2], [4]]
 
 
-def test_block_eigendecompose_checks_symmetry_per_block():
+def test_block_eigendecompose_checks_symmetry():
     h = np.diag([1.0, 2.0, 3.0]).astype(complex)
     h[1, 2] = 1.0
     with pytest.raises(NotHermitian):
         block_eigendecompose(h)
+
+
+def test_block_eigendecompose_symmetry_is_relative_to_whole_matrix():
+    # The small block's asymmetry is 5e-9 of its own norm but far below
+    # 1e-9 of the whole matrix's: the matrix is accepted, as it is by
+    # hermitian_eigendecompose, and the block's Hermitian part decomposed.
+    h = np.zeros((4, 4), dtype=complex)
+    h[:2, :2] = [[100.0, 30.0], [30.0, -50.0]]
+    h[2:, 2:] = [[0.0, 1e-3], [1e-3 + 1e-11, 0.0]]
+    whole = hermitian_eigendecompose(h)
+    blocks = block_eigendecompose(h)
+    assert [list(b.indices) for b in blocks] == [[0, 1], [2, 3]]
+    np.testing.assert_allclose(
+        np.sort(np.concatenate([b.eigenvalues for b in blocks])),
+        whole.eigenvalues, rtol=0, atol=1e-12,
+    )
+    with pytest.raises(NotHermitian):
+        hermitian_eigendecompose(h[2:, 2:])
 
 
 @given(seed=st.integers(0, 10_000))

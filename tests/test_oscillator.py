@@ -13,7 +13,7 @@ from zenopure.engine import (
     survival_probability,
     trace_distance,
 )
-from zenopure.linalg import coupled_blocks, dominant_eigenpair, unitary_exponential
+from zenopure.linalg import block_eigendecompose, dominant_eigenpair, unitary_exponential
 from zenopure.oscillator import (
     ClosedFormCoefficients,
     CutoffTooSmall,
@@ -231,7 +231,7 @@ def test_hamiltonian_excitation_blocks():
     # n_a + n_b is conserved: 59 blocks at cutoff 30, the largest (n = 29)
     # holding 30 states, each block of one total excitation number.
     h = build_hamiltonian(REFERENCE).hamiltonian
-    blocks = coupled_blocks(h)
+    blocks = [b.indices for b in block_eigendecompose(h)]
     assert len(blocks) == 59
     assert max(len(b) for b in blocks) == 30
     for idx in blocks:
