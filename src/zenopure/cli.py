@@ -35,7 +35,7 @@ from .config import (
 )
 from . import engine
 from . import oscillator as osc
-from .linalg import block_eigendecompose, top_k_eigenpairs, unitary_from_blocks
+from .linalg import top_k_eigenpairs, unitary_from_blocks
 
 DEFAULT_EPSILON = 1e-6
 COMPARE_TOLERANCES = {
@@ -200,7 +200,17 @@ def cmd_spectrum(args) -> int:
         v = _propagator(model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = engine.spectral_report(v, model.rho0, epsilon=epsilon, seed=args.seed)
+    # One solve of V's spectrum serves the report and the closed-form table,
+    # which needs five pairs; without the table two suffice.
+    coeffs = unavailable = None
+    if model.params is not None:
+        try:
+            coeffs = osc.coefficients(model.params)
+        except osc.DegenerateInterval as exc:
+            unavailable = f"closed_form = unavailable ({exc})"
+    k = 2 if coeffs is None else 5
+    found = top_k_eigenpairs(v.matrix, min(k, v.dim), seed=args.seed)
+    report = engine.spectral_report(v, model.rho0, epsilon=epsilon, eigenpairs=found)
     lines = [f"degenerate = {'true' if report.degenerate else 'false'}"]
     if report.lambda0 is not None:
         lines.append(f"lambda0 = {_fmt_complex(report.lambda0)}")
@@ -219,18 +229,15 @@ def cmd_spectrum(args) -> int:
         lines.append(
             f"yield_plateau_coefficient = {_fmt(report.yield_plateau_coefficient)}"
         )
-    if model.params is not None:
-        lines.extend(_closed_form_lines(model.params, v, args.seed))
+    if unavailable is not None:
+        lines.append(unavailable)
+    if coeffs is not None:
+        lines.extend(_closed_form_lines(coeffs, found))
     _write_output("\n".join(lines) + "\n", args.out)
     return 2 if report.degenerate else 0
 
 
-def _closed_form_lines(params, v, seed) -> list[str]:
-    try:
-        coeffs = osc.coefficients(params)
-    except osc.DegenerateInterval as exc:
-        return [f"closed_form = unavailable ({exc})"]
-    found = top_k_eigenpairs(v.matrix, min(5, v.dim), seed=seed)
+def _closed_form_lines(coeffs, found) -> list[str]:
     lines = ["closed_form_check: n lambda_numeric lambda_closed abs_dev"]
     for n, pair in enumerate(found.pairs):
         reference = osc.lambda_n(coeffs, n)
@@ -321,13 +328,10 @@ def cmd_compare(args) -> int:
         if value > tol:
             breached = True
 
-    # One block decomposition of H serves both the factorization check and V.
-    blocks = block_eigendecompose(model.system.hamiltonian)
-
-    # Propagator factorization against the eigendecomposition route, on the
-    # occupation block where truncation cannot reach.
-    u_direct = unitary_from_blocks(blocks, params.tau)
-    u_product = osc.factorized_propagator(params)
+    # The system's one block decomposition of H serves both the factorization
+    # check and V. The factorization is checked against the eigendecomposition
+    # route on the occupation block where truncation cannot reach; both
+    # propagators are formed on that block only, never as D x D matrices.
     block_a = min(FACTORIZATION_BLOCK + 1, params.n_max_a)
     block_b = min(FACTORIZATION_BLOCK + 1, params.n_max_b)
     idx = [
@@ -335,17 +339,18 @@ def cmd_compare(args) -> int:
         for a in range(block_a)
         for b in range(block_b)
     ]
-    sub = np.ix_(idx, idx)
+    u_direct = unitary_from_blocks(model.system.blocks, params.tau, indices=idx)
+    u_product = osc.factorized_propagator(params, indices=idx)
     check(
         "factorization_interior_max_dev",
         "factorization",
-        float(np.abs(u_direct[sub] - u_product[sub]).max()),
+        float(np.abs(u_direct - u_product).max()),
     )
 
     v_eng = None
     try:
         phi = _oscillator_probe(params)
-        v_eng = engine.contract_probe(model.system, phi, blocks).propagator(params.tau)
+        v_eng = engine.contract_probe(model.system, phi).propagator(params.tau)
     except osc.CutoffTooSmall as exc:
         check("propagator_block_max_dev", "propagator_block", None, str(exc))
     if v_eng is not None:
@@ -357,13 +362,23 @@ def cmd_compare(args) -> int:
             float(np.abs(v_eng.matrix[:nb, :nb] - v_closed[:nb, :nb]).max()),
         )
 
+    # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
+    # the spectrum lies on a circle and power iteration rightly refuses.
+    # One solve of V's spectrum serves the trajectory's target and the
+    # geometric check, which needs five pairs; without that check one does.
+    geometric = coeffs.abs_exp_c < 1.0 - 1e-9
+    found = None
+    if v_eng is not None:
+        found = top_k_eigenpairs(v_eng.matrix, min(5 if geometric else 1, v_eng.dim),
+                                 seed=args.seed)
+
     if v_eng is None:
         check("trajectory_max_trace_distance", "trajectory", None, "no propagator")
     else:
         try:
             horizon = min(10, cfg.n_steps)
             trajectory = engine.run_purification(
-                model.rho0, v_eng, horizon, target=None, seed=args.seed
+                model.rho0, v_eng, horizon, target=None, eigenpairs=found
             )
             worst = 0.0
             for step in trajectory.steps:
@@ -375,17 +390,14 @@ def cmd_compare(args) -> int:
         except osc.CutoffTooSmall as exc:
             check("trajectory_max_trace_distance", "trajectory", None, str(exc))
 
-    # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
-    # the spectrum lies on a circle and power iteration rightly refuses.
     gap_numeric = None
-    if coeffs.abs_exp_c >= 1.0 - 1e-9:
+    if not geometric:
         lines.append(
             "eigenvalue_geometric_max_rel_dev = skipped (no magnitude gap, |e^C| = 1)"
         )
     elif v_eng is None:
         check("eigenvalue_geometric_max_rel_dev", "geometric", None, "no propagator")
     else:
-        found = top_k_eigenpairs(v_eng.matrix, min(5, v_eng.dim), seed=args.seed)
         worst = None
         if found.pairs:
             lam0 = found.pairs[0].value

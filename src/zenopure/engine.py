@@ -13,11 +13,19 @@ conditional trajectory, and certifies the two efficiency conditions
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import HermitianBlock, block_eigendecompose, top_k_eigenpairs
+from .linalg import (
+    HermitianBlock,
+    TopKResult,
+    _block_asymmetry,
+    _coupled_blocks,
+    _decompose_blocks,
+    top_k_eigenpairs,
+)
 
 __all__ = [
     "ExtinctBranch",
@@ -63,11 +71,21 @@ class BipartiteSystem:
     The composite basis index is a_index * dim_b + b_index (A-major), and the
     Hamiltonian is stored pre-summed; no split into free and interaction
     parts is needed by any algorithm here.
+
+    H is checked once, when the system is built: its shape, its finiteness,
+    then one search of its nonzero pattern for the coupled blocks
+    (``block_indices``, the connected components), over which the symmetry
+    bound ||H - H†||_F <= 1e-9 ||H||_F is summed. The system owns those
+    blocks: ``blocks`` eigendecomposes each of them once, on first use, and
+    every propagator of the system is built from that one decomposition.
+    Only the index sets and the decomposed blocks are kept, never copies of
+    the sub-blocks of H.
     """
 
     dim_a: int
     dim_b: int
     hamiltonian: np.ndarray
+    block_indices: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -78,10 +96,17 @@ class BipartiteSystem:
             raise ValueError(f"hamiltonian must be {d}x{d}, got {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError("hamiltonian contains non-finite entries")
-        dev = np.linalg.norm(h - h.conj().T)
-        if dev > 1e-9 * max(np.linalg.norm(h), 1e-300):
+        blocks = tuple(_coupled_blocks(h))
+        dev, scale = _block_asymmetry(h, blocks)
+        if dev > 1e-9 * max(scale, 1e-300):
             raise ValueError(f"hamiltonian is not Hermitian (deviation {dev:.3e})")
         object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "block_indices", blocks)
+
+    @cached_property
+    def blocks(self) -> tuple[HermitianBlock, ...]:
+        """The eigendecomposition of H, one coupled block at a time."""
+        return _decompose_blocks(self.hamiltonian, self.block_indices)
 
 
 @dataclass(frozen=True)
@@ -236,13 +261,12 @@ class ProbeContraction:
         return ProjectedPropagator(matrix=v, tau=float(tau))
 
 
-def contract_probe(sys: BipartiteSystem, phi: ProbeState,
-                   blocks: tuple[HermitianBlock, ...]) -> ProbeContraction:
+def contract_probe(sys: BipartiteSystem, phi: ProbeState) -> ProbeContraction:
     """Contract the eigenvectors of H with the probe state, block by block.
 
-    ``blocks`` is ``block_eigendecompose(sys.hamiltonian)``. A block
-    eigenvector q on composite indices a*dim_b + i contributes
-    conj(phi_a) q[a*dim_b + i] to entry i of its column of W.
+    The eigenvectors are those of ``sys.blocks``. A block eigenvector q on
+    composite indices a*dim_b + i contributes conj(phi_a) q[a*dim_b + i] to
+    entry i of its column of W.
     """
     if phi.dim != sys.dim_a:
         raise ValueError(
@@ -250,14 +274,14 @@ def contract_probe(sys: BipartiteSystem, phi: ProbeState,
         )
     conj_phi = phi.amplitudes.conj()
     columns = []
-    for block in blocks:
+    for block in sys.blocks:
         probe_index, b_index = np.divmod(block.indices, sys.dim_b)
         w = np.zeros((sys.dim_b, len(block.indices)), dtype=complex)
         np.add.at(w, b_index, conj_phi[probe_index, None] * block.eigenvectors)
         columns.append(w)
     return ProbeContraction(
         rows=np.hstack(columns),
-        energies=np.concatenate([block.eigenvalues for block in blocks]),
+        energies=np.concatenate([block.eigenvalues for block in sys.blocks]),
     )
 
 
@@ -266,11 +290,11 @@ def build_projected_propagator(sys: BipartiteSystem, phi: ProbeState,
     """Contract exp(-iH tau) with the probe state on both sides.
 
     result[i, j] = sum_{k,l} conj(phi_k) U[k*d_b + i, l*d_b + j] phi_l with
-    U = exp(-iH tau), evaluated as W diag(exp(-i E tau)) W† from the block
-    eigendecomposition of H (see ``contract_probe``); U is never formed.
+    U = exp(-iH tau), evaluated as W diag(exp(-i E tau)) W† from the
+    system's block eigendecomposition of H (see ``contract_probe``); U is
+    never formed.
     """
-    blocks = block_eigendecompose(sys.hamiltonian)
-    return contract_probe(sys, phi, blocks).propagator(tau)
+    return contract_probe(sys, phi).propagator(tau)
 
 
 def evolve_step(rho: DensityMatrix, v: ProjectedPropagator,
@@ -327,16 +351,17 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
-                     target: np.ndarray | None = None,
-                     seed: int = 0) -> PurificationTrajectory:
+                     target: np.ndarray | None = None, seed: int = 0,
+                     eigenpairs: TopKResult | None = None) -> PurificationTrajectory:
     """Iterate confirmed measurements for n_max steps from rho0.
 
     Records, for every n in 0..n_max, the conditional success probability,
     the cumulative yield (their running product), the fidelity to ``target``
     and the purity. When no target is supplied the dominant right-eigenvector
-    of V is used; if that eigenvector is unavailable (degenerate magnitudes)
-    fidelity is recorded as None. Stops early with ``truncated`` set when the
-    branch goes extinct.
+    of V is used, taken from ``eigenpairs`` (a ``top_k_eigenpairs`` result
+    for V already at hand) or else solved for here; if that eigenvector is
+    unavailable (degenerate magnitudes) fidelity is recorded as None. Stops
+    early with ``truncated`` set when the branch goes extinct.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -345,7 +370,9 @@ def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
         if abs(np.linalg.norm(target) - 1.0) > 1e-10:
             raise ValueError("target state must be unit-norm")
     else:
-        found = top_k_eigenpairs(v.matrix, 1, seed=seed)
+        found = eigenpairs
+        if found is None:
+            found = top_k_eigenpairs(v.matrix, 1, seed=seed)
         if found.pairs:
             target = found.pairs[0].right
     steps = [_record(0, 1.0, 1.0, rho0, target)]
@@ -378,15 +405,25 @@ def _record(n: int, p: float, cumulative: float, state: DensityMatrix,
 
 
 def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
-                    epsilon: float = 1e-6, seed: int = 0) -> ConditionsReport:
+                    epsilon: float = 1e-6, seed: int = 0,
+                    eigenpairs: TopKResult | None = None) -> ConditionsReport:
     """Certify the purification conditions from the top two eigenvalues.
 
     yield_plateau_coefficient is <v0| rho0 |v0> in the gauge ||u0|| = 1,
     <v0|u0> = 1: the asymptotic value of yield / |lambda0|^(2N).
+
+    ``eigenpairs`` is a ``top_k_eigenpairs`` result for V already at hand,
+    asked for at least min(2, dim) pairs; without it the top two are solved
+    for here.
     """
-    found = top_k_eigenpairs(v.matrix, min(2, v.dim), seed=seed)
+    wanted = min(2, v.dim)
+    found = eigenpairs
+    if found is None:
+        found = top_k_eigenpairs(v.matrix, wanted, seed=seed)
     pairs = found.pairs
-    degenerate = len(pairs) < min(2, v.dim)
+    if len(pairs) < wanted and not found.truncated:
+        raise ValueError(f"eigenpairs holds {len(pairs)} pairs, fewer than {wanted}")
+    degenerate = len(pairs) < wanted
     lambda0 = pairs[0].value if len(pairs) >= 1 else None
     lambda1 = pairs[1].value if len(pairs) >= 2 else None
     u0 = pairs[0].right if pairs else None
@@ -415,12 +452,12 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
                     total_time: float, n_values, jobs: int = 1) -> list[ZenoScanPoint]:
     """Split a fixed total time into n confirmations and scan n.
 
-    H is decomposed once for the whole scan. For each n the propagator
-    V(total_time / n) then costs one small matrix product, W = V^n is
-    formed, and the scan records the n-step yield tr(W rho0 W†) together
-    with the unitarity defect ||W†W - 1||_F. As n grows the repeated
-    projection freezes the leakage out of the probe state and W approaches
-    a unitary on B (the frequent-measurement limit).
+    The system's one block decomposition of H serves the whole scan. For
+    each n the propagator V(total_time / n) then costs one small matrix
+    product, W = V^n is formed, and the scan records the n-step yield
+    tr(W rho0 W†) together with the unitarity defect ||W†W - 1||_F. As n
+    grows the repeated projection freezes the leakage out of the probe
+    state and W approaches a unitary on B (the frequent-measurement limit).
 
     Points are independent; ``jobs`` > 1 evaluates them in a thread pool.
     Results are returned in input order regardless of scheduling.
@@ -438,7 +475,7 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
         raise ValueError(
             f"state dimension {rho0.dim} does not match dim_b {sys.dim_b}"
         )
-    contraction = contract_probe(sys, phi, block_eigendecompose(sys.hamiltonian))
+    contraction = contract_probe(sys, phi)
     eye = np.eye(sys.dim_b)
 
     def point(n: int) -> ZenoScanPoint:

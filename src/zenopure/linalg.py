@@ -5,11 +5,18 @@ dominant-eigenpair extraction for the non-Hermitian contractions that
 repeated-measurement propagators produce. Arrays are dense complex128, but
 a Hermitian matrix is never diagonalized whole when it need not be: the
 connected components of its nonzero pattern are independent diagonal
-blocks, each eigendecomposed on its own (``block_eigendecompose``), and
-exp(-iHt) is assembled from them block by block. A conserved quantity
-such as a total excitation number therefore turns one D x D problem into
-many small ones; a fully coupled matrix is a single block and is
-decomposed as it stands.
+blocks, each eigendecomposed on its own, and exp(-iHt) is assembled from
+them block by block. A conserved quantity such as a total excitation
+number therefore turns one D x D problem into many small ones; a fully
+coupled matrix is a single block and is decomposed as it stands.
+
+A matrix is checked once, block by block: its pattern is searched once
+(``_coupled_blocks``), the symmetry bound ||m - m†||_F <= 1e-9 ||m||_F is
+summed over the blocks it found (``_block_asymmetry``), and the blocks are
+then decomposed without testing them again (``_decompose_blocks``).
+``block_eigendecompose`` does all three for a raw matrix;
+``engine.BipartiteSystem`` does the first two when it is built and keeps
+the index sets, and decomposes on first use.
 
 The eigenpair routines deliberately use power iteration with a Rayleigh
 quotient and rank-1 deflation rather than a full QR spectrum: only the top
@@ -175,7 +182,8 @@ def _check_hermitian(dev: float, scale: float, tol: float = 1e-9) -> None:
         )
 
 
-def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecomposition:
+def hermitian_eigendecompose(m, tol: float = 1e-9, *,
+                             checked: bool = False) -> HermitianEigenDecomposition:
     """Eigendecompose a Hermitian matrix into ascending eigenvalues.
 
     Parameters
@@ -184,6 +192,11 @@ def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecompositio
     tol : relative Frobenius tolerance for the symmetry check
         ||m - m†||_F <= tol * ||m||_F; anything beyond truncation-arithmetic
         noise should be rejected, hence the tight default.
+    checked : the caller has already found m finite and within its bound of
+        Hermitian, as ``_decompose_blocks`` has for each block; the
+        finiteness and symmetry tests are skipped.
+
+    In either case the Hermitian part (m + m†) / 2 is what is decomposed.
 
     Raises
     ------
@@ -192,8 +205,11 @@ def hermitian_eigendecompose(m, tol: float = 1e-9) -> HermitianEigenDecompositio
     NoConvergence
         if the underlying iteration fails to converge.
     """
-    a = _as_square(m)
-    _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a), tol)
+    if checked:
+        a = np.asarray(m, dtype=complex)
+    else:
+        a = _as_square(m)
+        _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a), tol)
     sym = (a + a.conj().T) / 2
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -208,7 +224,7 @@ def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
     Indices i and j share a component when a chain of exactly nonzero
     entries a[i, k], a[k, l], ..., in either orientation, links them. Each
     set is ascending and the sets are ordered by their smallest index, so a
-    matrix without zero couplings is one block, arange(n).
+    matrix without zero couplings is one block, arange(n). a must be finite.
     """
     # Every index starts labelled by itself. Each pass gives every index the
     # smallest label among its neighbours, then replaces each label by that
@@ -218,7 +234,9 @@ def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
     pattern = a != 0
     pattern |= pattern.T
     np.fill_diagonal(pattern, True)
-    rows, cols = np.nonzero(pattern)
+    # Row-major flat indices, so rows come out ascending and each row's
+    # entries are contiguous (the diagonal makes every row nonempty).
+    rows, cols = np.divmod(np.flatnonzero(pattern), n)
     starts = np.searchsorted(rows, np.arange(n))
     label = np.arange(n)
     while True:
@@ -231,47 +249,95 @@ def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _block_asymmetry(a: np.ndarray, blocks) -> tuple[float, float]:
+    """(||a - a†||_F, ||a||_F), summed block by block over ``_coupled_blocks(a)``.
+
+    No nonzero entry of a, nor therefore of a - a†, lies outside the blocks,
+    so the root sums of squares over them are the whole matrix's norms. A
+    single block is a itself and is not copied.
+    """
+    dev = scale = 0.0
+    for idx in blocks:
+        s = a if len(blocks) == 1 else a[np.ix_(idx, idx)]
+        dev += np.linalg.norm(s - s.conj().T) ** 2
+        scale += np.linalg.norm(s) ** 2
+    return float(np.sqrt(dev)), float(np.sqrt(scale))
+
+
+def _decompose_blocks(a: np.ndarray, blocks) -> tuple[HermitianBlock, ...]:
+    """Eigendecompose each of ``_coupled_blocks(a)``, already checked.
+
+    The caller has found a finite and its ``_block_asymmetry`` within the
+    bound, so each block goes to ``hermitian_eigendecompose`` unchecked: a
+    block's asymmetry may be large against its own small norm and still
+    within the bound for the whole matrix. A single block is a itself and is
+    not copied.
+    """
+    out = []
+    for idx in blocks:
+        s = a if len(blocks) == 1 else a[np.ix_(idx, idx)]
+        eig = hermitian_eigendecompose(s, checked=True)
+        out.append(HermitianBlock(idx, eig.eigenvalues, eig.eigenvectors))
+    return tuple(out)
+
+
 def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:
     """Eigendecompose a Hermitian matrix one coupled block at a time.
 
     The blocks are the connected components of the exact nonzero pattern of
     m; each is eigendecomposed by ``hermitian_eigendecompose``. The symmetry
     test is the one ``hermitian_eigendecompose`` makes on m as a whole,
-    ||m - m†||_F <= 1e-9 ||m||_F, so a block whose own asymmetry is large
-    only against its own small norm is accepted, and its Hermitian part is
-    decomposed. A matrix that is one block is passed as it stands, without
-    copying it out.
+    ||m - m†||_F <= 1e-9 ||m||_F, summed over the blocks, so a block whose
+    own asymmetry is large only against its own small norm is accepted, and
+    its Hermitian part is decomposed. A matrix that is one block is passed
+    as it stands, without copying it out.
     """
     a = _as_square(m)
     blocks = _coupled_blocks(a)
-    if len(blocks) == 1:
-        eig = hermitian_eigendecompose(a)
-        return (HermitianBlock(blocks[0], eig.eigenvalues, eig.eigenvectors),)
-    subs = [a[np.ix_(idx, idx)] for idx in blocks]
-    # No nonzero entry couples two blocks, so both Frobenius norms of the
-    # whole matrix are root sums of squares over its blocks.
-    scale = np.sqrt(sum(np.linalg.norm(s) ** 2 for s in subs))
-    dev = np.sqrt(sum(np.linalg.norm(s - s.conj().T) ** 2 for s in subs))
-    _check_hermitian(dev, scale)
-    out = []
-    for idx, s in zip(blocks, subs):
-        eig = hermitian_eigendecompose((s + s.conj().T) / 2)
-        out.append(HermitianBlock(idx, eig.eigenvalues, eig.eigenvectors))
-    return tuple(out)
+    _check_hermitian(*_block_asymmetry(a, blocks))
+    return _decompose_blocks(a, blocks)
 
 
-def unitary_from_blocks(blocks: tuple[HermitianBlock, ...], t: float) -> np.ndarray:
+def _block_selection(groups, d: int, indices):
+    """Where ``indices`` meet the disjoint index sets ``groups`` covering range(d).
+
+    Yields (number, rows, local) for each set that holds one of the
+    indices, in set order: ``rows`` are the positions in ``indices`` that
+    fall in set ``number`` and ``local`` their places within that set. A
+    block-diagonal m with block ``number`` on ``groups[number]`` so has
+    m[np.ix_(indices, indices)][np.ix_(rows, rows)] equal to that block's
+    [np.ix_(local, local)], and zero between two different sets.
+    """
+    indices = np.asarray(indices, dtype=int)
+    owner = np.empty(d, dtype=int)
+    place = np.empty(d, dtype=int)
+    for number, idx in enumerate(groups):
+        owner[idx] = number
+        place[idx] = np.arange(len(idx))
+    chosen = owner[indices]
+    for number in np.unique(chosen):
+        rows = np.flatnonzero(chosen == number)
+        yield int(number), rows, place[indices[rows]]
+
+
+def unitary_from_blocks(blocks: tuple[HermitianBlock, ...], t: float,
+                        indices=None) -> np.ndarray:
     """exp(-i h t) assembled from ``block_eigendecompose(h)``.
 
     Each block contributes Q diag(exp(-i E t)) Q† on its own indices; every
-    entry between two different blocks is zero.
+    entry between two different blocks is zero. With ``indices`` only
+    u[np.ix_(indices, indices)] is returned, entry for entry as the whole
+    matrix holds it, without forming the whole matrix; blocks holding none
+    of the indices are skipped.
     """
     d = sum(len(b.indices) for b in blocks)
-    u = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        q = b.eigenvectors
-        phases = np.exp(-1j * b.eigenvalues * float(t))
-        u[np.ix_(b.indices, b.indices)] = (q * phases) @ q.conj().T
+    if indices is None:
+        indices = np.arange(d)
+    u = np.zeros((len(indices), len(indices)), dtype=complex)
+    for number, rows, local in _block_selection([b.indices for b in blocks], d, indices):
+        q = blocks[number].eigenvectors
+        phases = np.exp(-1j * blocks[number].eigenvalues * float(t))
+        u[np.ix_(rows, rows)] = ((q * phases) @ q.conj().T)[np.ix_(local, local)]
     return u
 
 

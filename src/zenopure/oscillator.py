@@ -24,11 +24,13 @@ does not load it.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import BipartiteSystem, DensityMatrix
+from .linalg import _block_selection
 
 __all__ = [
     "DegenerateInterval",
@@ -273,16 +275,40 @@ def eigenvector_u_n(c: ClosedFormCoefficients, n: int, cutoff: int) -> np.ndarra
     return vec
 
 
+def _mapped_zeros(d: int) -> np.ndarray:
+    """A zero d x d complex matrix in an anonymous memory map of its own.
+
+    Freed, its pages go back to the system at once. A matrix of this size
+    on the process heap instead stays resident when freed, and small
+    allocations made later split it, so that the next one no longer fits
+    and the heap grows by another matrix: a process building one system
+    after another grew by 10-13 MB at cutoff 30, at unpredictable points.
+    On Unix the map is private to the process, and where the platform
+    offers it, it is populated when made, which costs far less than
+    faulting its pages in one by one; Windows maps anonymous memory
+    privately and takes no flags.
+    """
+    size = d * d * np.dtype(complex).itemsize
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        buffer = mmap.mmap(-1, size, flags=flags)
+    else:
+        buffer = mmap.mmap(-1, size)
+    return np.frombuffer(buffer, dtype=complex).reshape(d, d)
+
+
 def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     """Truncated two-mode Hamiltonian, Hermitian by construction.
 
     H = big_omega a†a + omega b†b + i g (a†b - a b†) on the A-major product
-    basis, with number operators built exactly as integer diagonals.
+    basis, with number operators built exactly as integer diagonals. The
+    dense matrix is held in a memory map of its own (``_mapped_zeros``).
     """
     na, nb = p.n_max_a, p.n_max_b
-    occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
-    h = np.zeros((na * nb, na * nb), dtype=complex)
-    h[np.diag_indices(na * nb)] = p.big_omega * occ_a + p.omega * occ_b
+    d = na * nb
+    occ_a, occ_b = np.divmod(np.arange(d), nb)
+    h = _mapped_zeros(d)
+    h[np.diag_indices(d)] = p.big_omega * occ_a + p.omega * occ_b
     # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
     # index + nb - 1; -i g a b† is its adjoint.
     src = np.flatnonzero((occ_a < na - 1) & (occ_b > 0))
@@ -401,7 +427,7 @@ def closed_form_propagator(p: OscillatorParams) -> np.ndarray:
     return c.lambda0 * (u * powers) @ u_inv
 
 
-def factorized_propagator(p: OscillatorParams) -> np.ndarray:
+def factorized_propagator(p: OscillatorParams, indices=None) -> np.ndarray:
     """exp(-iH tau) as the exact four-factor product on the truncated space.
 
     e^{A a†b} (e^B)^{a†a} (e^C)^{b†b} e^{-A a b†}, with the diagonal factors
@@ -409,25 +435,31 @@ def factorized_propagator(p: OscillatorParams) -> np.ndarray:
     of fixed n_a + n_b and assembled into the D x D matrix. Exact on the
     infinite space; truncation error concentrates at the Fock boundary, so
     comparisons against the eigendecomposition route should restrict to an
-    interior block. tau = 0 returns the identity (the zero-time limit of
-    the product, whose coefficient set is otherwise out of range).
+    interior block. With ``indices`` (composite indices n_a * n_max_b + n_b)
+    only that restriction, u[np.ix_(indices, indices)], is returned, entry
+    for entry as the whole matrix holds it, without forming the whole
+    matrix; blocks holding none of the indices are skipped. tau = 0 returns
+    the identity (the zero-time limit of the product, whose coefficient set
+    is otherwise out of range).
     """
     na, nb = p.n_max_a, p.n_max_b
+    indices = np.arange(na * nb) if indices is None else np.asarray(indices, dtype=int)
     if p.tau == 0:
-        return np.eye(na * nb, dtype=complex)
+        return (indices[:, None] == indices[None, :]).astype(complex)
     from scipy.linalg import expm
 
     c = coefficients(p)
     occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
-    out = np.zeros((na * nb, na * nb), dtype=complex)
-    for k in range(na + nb - 1):
-        # States with n_a + n_b = k, by ascending n_a; a†b moves each one to
-        # the next, a b† to the previous.
-        idx = np.flatnonzero(occ_a + occ_b == k)
-        a_k, b_k = occ_a[idx], occ_b[idx]
+    # States with n_a + n_b = k, by ascending n_a; a†b moves each one to the
+    # next, a b† to the previous.
+    groups = [np.flatnonzero(occ_a + occ_b == k) for k in range(na + nb - 1)]
+    out = np.zeros((len(indices), len(indices)), dtype=complex)
+    for number, rows, local in _block_selection(groups, na * nb, indices):
+        a_k, b_k = occ_a[groups[number]], occ_b[groups[number]]
         up = np.diag(np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1]), k=-1)
         diagonal = c.exp_b ** a_k * c.exp_c ** b_k
-        out[np.ix_(idx, idx)] = (expm(c.a_coef * up) * diagonal) @ expm(-c.a_coef * up.T)
+        block = (expm(c.a_coef * up) * diagonal) @ expm(-c.a_coef * up.T)
+        out[np.ix_(rows, rows)] = block[np.ix_(local, local)]
     return out
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenopure
-from zenopure import cli
+from zenopure import cli, engine, linalg
 from zenopure.config import (
     ConfigError,
     ExperimentConfig,
@@ -363,6 +364,24 @@ def test_compare_reference(tmp_path, capsys):
     assert "trajectory_trace_distance_10 = " in out
 
 
+def test_compare_forms_no_whole_propagator(tmp_path, capsys):
+    # At cutoff 30 a 900 x 900 complex matrix takes 13 MB. compare checks
+    # the factorization on the interior block only, so it forms no such
+    # matrix; the bound leaves room for H itself, whether or not the traced
+    # heap holds it.
+    cfg = write(tmp_path, FIG1_CONFIG)
+    run_cli(capsys, "compare", "--config", cfg)
+    h_bytes = 900 * 900 * 16
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "compare", "--config", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and grab(out, "status") == "ok"
+    assert peak < 1.5 * h_bytes
+
+
 def test_compare_starved_cutoff_breaches(tmp_path, capsys):
     cfg = write(tmp_path, FIG1_CONFIG)
     code, out, _ = run_cli(capsys, "compare", "--config", cfg, "--cutoff", "6")
@@ -476,6 +495,43 @@ def test_bad_and_missing_config_exit_one(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run_cli(capsys, "spectrum", "--config", str(tmp_path / "no.cfg"))
     assert code == 1 and err.startswith("error:")
+
+
+def count_calls(monkeypatch, name):
+    """Record the result of every call to linalg's ``name``, under any alias."""
+    original = getattr(linalg, name)
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for module in (linalg, engine, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return results
+
+
+@pytest.mark.parametrize("command, exit_code, spectrum_solves", [
+    ("figure1", 0, 0), ("spectrum", 0, 1), ("purify", 0, 0), ("compare", 3, 1), ("zeno", 0, 0),
+])
+def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, command,
+                                             exit_code, spectrum_solves):
+    # One search of H's pattern, one eigendecomposition per block found and
+    # at most one solve of V's spectrum, whatever the command. At cutoff 12
+    # compare breaches on truncation, which it reports with exit code 3.
+    searches = count_calls(monkeypatch, "_coupled_blocks")
+    decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
+    solves = count_calls(monkeypatch, "top_k_eigenpairs")
+    argv = [command, "--cutoff", "12"]
+    if command != "figure1":
+        argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert len(searches) == 1
+    assert len(searches[0]) == 2 * 12 - 1  # one block per total excitation number
+    assert len(decompositions) == len(searches[0])
+    assert len(solves) == spectrum_solves
 
 
 def test_golden_figure1(capsys):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from zenopure import engine, linalg
 from zenopure.engine import (
     BipartiteSystem,
     DensityMatrix,
@@ -20,7 +21,7 @@ from zenopure.engine import (
     trace_distance,
     zeno_limit_scan,
 )
-from zenopure.linalg import tensor_product, unitary_exponential
+from zenopure.linalg import tensor_product, top_k_eigenpairs, unitary_exponential
 from zenopure.oscillator import (
     OscillatorParams,
     build_hamiltonian,
@@ -72,6 +73,85 @@ def test_bipartite_system_rejects_non_hermitian():
 def test_bipartite_system_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         BipartiteSystem(dim_a=2, dim_b=2, hamiltonian=np.eye(3))
+
+
+@given(seed=st.integers(0, 10_000), factor=st.sampled_from([0.5, 2.0]),
+       one_sided=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bipartite_system_block_symmetry_check_matches_dense(seed, factor, one_sided):
+    # A permuted block-diagonal H made non-Hermitian at 0.5x or 2x the bound,
+    # either by an anti-Hermitian perturbation inside its blocks or by one
+    # entry H[i, j] != 0 = H[j, i] that joins two of them. The block-wise
+    # check must accept exactly when the dense one does.
+    rng = np.random.default_rng(seed)
+    dim_a, dim_b = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    d = dim_a * dim_b
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(1, d), replace=False))
+    h = np.zeros((d, d), dtype=complex)
+    inside = np.zeros((d, d), dtype=bool)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
+        a = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
+        h[lo:hi, lo:hi] = (a + a.conj().T) / 2 * rng.uniform(0.01, 100.0)
+        inside[lo:hi, lo:hi] = True
+    bound = 1e-9 * np.linalg.norm(h)
+    if one_sided:
+        i, j = int(rng.integers(0, cuts[0])), int(rng.integers(cuts[0], d))
+        # ||E - E†||_F = sqrt(2) |H[i, j]| for the single entry E.
+        h[i, j] = factor * bound / np.sqrt(2) * np.exp(2j * np.pi * rng.uniform())
+    else:
+        k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        k = np.where(inside, (k - k.conj().T) / 2, 0)
+        h += factor * bound / (2 * np.linalg.norm(k)) * k
+    perm = rng.permutation(d)
+    h = h[np.ix_(perm, perm)]
+    dense_accepts = np.linalg.norm(h - h.conj().T) <= 1e-9 * np.linalg.norm(h)
+    assert dense_accepts == (factor < 1)
+    try:
+        sys_ = BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=h)
+    except ValueError as exc:
+        assert not dense_accepts
+        assert "not Hermitian (deviation" in str(exc)
+        return
+    assert dense_accepts
+    np.testing.assert_array_equal(np.sort(np.concatenate(sys_.block_indices)), np.arange(d))
+    if one_sided:
+        where = {int(x): n for n, idx in enumerate(sys_.block_indices) for x in idx}
+        assert where[int(np.flatnonzero(perm == i)[0])] == where[int(np.flatnonzero(perm == j)[0])]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_bipartite_system_refuses_non_finite_before_block_search(monkeypatch, bad):
+    def no_search(a):
+        raise AssertionError("the block search ran on a non-finite H")
+
+    monkeypatch.setattr(engine, "_coupled_blocks", no_search)
+    h = np.eye(4, dtype=complex)
+    h[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BipartiteSystem(dim_a=2, dim_b=2, hamiltonian=h)
+
+
+def test_bipartite_system_decomposes_each_block_once(monkeypatch):
+    seen = []
+    original = linalg.hermitian_eigendecompose
+
+    def counted(m, *args, **kwargs):
+        seen.append(m)
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eigendecompose", counted)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    whole = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=a + a.conj().T)
+    assert not seen  # nothing is decomposed before it is needed
+    assert whole.blocks is whole.blocks
+    # A one-block H is handed over as it stands, not copied.
+    assert len(seen) == 1 and seen[0] is whole.hamiltonian
+    seen.clear()
+    split = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=np.diag(np.arange(6.0)))
+    build_projected_propagator(split, ProbeState(np.array([1.0, 0.0])), 0.5)
+    build_projected_propagator(split, ProbeState(np.array([0.0, 1.0])), 1.5)
+    assert len(seen) == len(split.block_indices) == 6
 
 
 def test_probe_state_must_be_normalized():
@@ -326,6 +406,17 @@ def test_spectral_report_diagonal():
     assert report.gap_ratio == pytest.approx(5 / 9, abs=1e-9)
     assert report.yield_plateau_coefficient == pytest.approx(0.5, abs=1e-9)
     assert not report.condition_i_met
+
+
+def test_spectral_report_reuses_given_eigenpairs():
+    _, _, v, rho0 = reference_setup()
+    solved = spectral_report(v, rho0, seed=3)
+    given_ = spectral_report(v, rho0, eigenpairs=top_k_eigenpairs(v.matrix, 5, seed=3))
+    assert (given_.lambda0, given_.lambda1) == (solved.lambda0, solved.lambda1)
+    assert given_.yield_plateau_coefficient == solved.yield_plateau_coefficient
+    np.testing.assert_array_equal(given_.u0, solved.u0)
+    with pytest.raises(ValueError, match="fewer than 2"):
+        spectral_report(v, rho0, eigenpairs=top_k_eigenpairs(v.matrix, 1))
 
 
 def test_spectral_report_reference_conditions():

@@ -1,5 +1,7 @@
 """Tests for the exactly solvable two-oscillator closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +15,12 @@ from zenopure.engine import (
     survival_probability,
     trace_distance,
 )
-from zenopure.linalg import block_eigendecompose, dominant_eigenpair, unitary_exponential
+from zenopure.linalg import (
+    block_eigendecompose,
+    dominant_eigenpair,
+    unitary_exponential,
+    unitary_from_blocks,
+)
 from zenopure.oscillator import (
     ClosedFormCoefficients,
     CutoffTooSmall,
@@ -227,6 +234,21 @@ def test_hamiltonian_matches_kron_construction(n_max_a, n_max_b):
     np.testing.assert_array_equal(build_hamiltonian(p).hamiltonian, kron_hamiltonian(p))
 
 
+def test_hamiltonian_kept_off_the_heap():
+    # H sits in a memory map of its own, so numpy's traced heap never holds
+    # a matrix of its size (13 MB at cutoff 30), and it is an ordinary
+    # writeable array.
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(REFERENCE).hamiltonian
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes / 4
+    assert h.flags.writeable and h.flags.c_contiguous and h.dtype == complex
+    np.testing.assert_array_equal(h, kron_hamiltonian(REFERENCE))
+
+
 def test_hamiltonian_excitation_blocks():
     # n_a + n_b is conserved: 59 blocks at cutoff 30, the largest (n = 29)
     # holding 30 states, each block of one total excitation number.
@@ -388,6 +410,55 @@ def test_factorized_propagator_interior_block():
     idx = [a * 16 + b for a in range(6) for b in range(6)]
     block = np.abs(direct[np.ix_(idx, idx)] - factored[np.ix_(idx, idx)]).max()
     assert block <= 1e-6
+
+
+def assembled_propagators(p: OscillatorParams, blocks):
+    """Both D x D propagators scattered block by block, as a plain loop."""
+    d = p.n_max_a * p.n_max_b
+    direct = np.zeros((d, d), dtype=complex)
+    for b in blocks:
+        q = b.eigenvectors
+        phases = np.exp(-1j * b.eigenvalues * p.tau)
+        direct[np.ix_(b.indices, b.indices)] = (q * phases) @ q.conj().T
+    c = coefficients(p)
+    occ_a, occ_b = np.divmod(np.arange(d), p.n_max_b)
+    product = np.zeros((d, d), dtype=complex)
+    for k in range(p.n_max_a + p.n_max_b - 1):
+        idx = np.flatnonzero(occ_a + occ_b == k)
+        a_k, b_k = occ_a[idx], occ_b[idx]
+        up = np.diag(np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1]), k=-1)
+        diagonal = c.exp_b ** a_k * c.exp_c ** b_k
+        product[np.ix_(idx, idx)] = (
+            (scipy.linalg.expm(c.a_coef * up) * diagonal) @ scipy.linalg.expm(-c.a_coef * up.T)
+        )
+    return direct, product
+
+
+@pytest.mark.parametrize("n_max_a, n_max_b", [(10, 10), (10, 7)])
+def test_restricted_propagators_equal_the_whole_ones(n_max_a, n_max_b):
+    # Whole or restricted to a set of composite indices, in any order and
+    # with repeats, both routes give the entries the block-by-block loop
+    # puts there, bit for bit; compare relies on this to print its interior
+    # deviation unchanged.
+    p = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=2.3,
+                         n_max_a=n_max_a, n_max_b=n_max_b)
+    d = n_max_a * n_max_b
+    blocks = build_hamiltonian(p).blocks
+    direct, product = assembled_propagators(p, blocks)
+    np.testing.assert_array_equal(unitary_from_blocks(blocks, p.tau), direct)
+    np.testing.assert_array_equal(factorized_propagator(p), product)
+    zero = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=0.0,
+                            n_max_a=n_max_a, n_max_b=n_max_b)
+    interior = [a * n_max_b + b for a in range(6) for b in range(6)]
+    scattered = np.random.default_rng(5).choice(d, size=40, replace=False)
+    repeated = [3, 17, 3, d - 1, 0, 17]
+    for idx in (interior, scattered, repeated):
+        sub = np.ix_(idx, idx)
+        np.testing.assert_array_equal(
+            unitary_from_blocks(blocks, p.tau, indices=idx), direct[sub])
+        np.testing.assert_array_equal(factorized_propagator(p, indices=idx), product[sub])
+        np.testing.assert_array_equal(
+            factorized_propagator(zero, indices=idx), np.eye(d)[sub])
 
 
 # --------------------------------------------------------------- tunings
