@@ -450,18 +450,28 @@ def cmd_zeno(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, need_config: bool) -> None:
-    if need_config:
+#: Subcommands whose output the eigensolver seed cannot change: zeno solves
+#: no spectrum, and figure1's purification target is the closed-form state.
+_SEED_UNUSED = ("zeno", "figure1")
+
+
+def _add_options(sub: argparse.ArgumentParser, command: str) -> None:
+    """Give ``command`` the options it honours; --seed is accepted by every
+    subcommand, so that one command line serves them all."""
+    if command != "figure1":
         sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--cutoff", type=int, default=None,
                      help="override both Fock cutoffs (oscillator model)")
-    sub.add_argument("--steps", type=int, default=None,
-                     help="override the number of confirmations")
+    if command in ("purify", "figure1"):
+        sub.add_argument("--steps", type=int, default=None,
+                         help="override the number of confirmations")
     sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the eigensolver start vectors")
+                     help="accepted, but has no effect on this subcommand"
+                     if command in _SEED_UNUSED else "seed for the eigensolver start vectors")
     sub.add_argument("--out", default=None, help="write output to this file")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for independent scan points")
+    if command == "zeno":
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers for independent scan points")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -470,15 +480,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra and trajectories of repeated-confirmation purification.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, func, need_config, blurb in (
-        ("spectrum", cmd_spectrum, True, "dominant-eigenvalue report"),
-        ("purify", cmd_purify, True, "trajectory CSV"),
-        ("compare", cmd_compare, True, "engine vs closed-form deviations"),
-        ("zeno", cmd_zeno, True, "fixed-total-time splitting scan CSV"),
-        ("figure1", cmd_figure1, False, "purify with the reference parameters"),
+    for name, func, blurb in (
+        ("spectrum", cmd_spectrum, "dominant-eigenvalue report"),
+        ("purify", cmd_purify, "trajectory CSV"),
+        ("compare", cmd_compare, "engine vs closed-form deviations"),
+        ("zeno", cmd_zeno, "fixed-total-time splitting scan CSV"),
+        ("figure1", cmd_figure1, "purify with the reference parameters"),
     ):
         sub = commands.add_parser(name, help=blurb)
-        _add_common(sub, need_config)
+        _add_options(sub, name)
         sub.set_defaults(func=func)
     return parser
 

@@ -12,8 +12,9 @@ conditional trajectory, and certifies the two efficiency conditions
 
 from __future__ import annotations
 
+import mmap
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +24,7 @@ from .linalg import (
     TopKResult,
     _block_asymmetry,
     _coupled_blocks,
+    _cut_blocks,
     _decompose_blocks,
     top_k_eigenpairs,
 )
@@ -64,49 +66,136 @@ class ExtinctBranch(RuntimeError):
         self.probability = float(probability)
 
 
-@dataclass(frozen=True)
+def _mapped_zeros(d: int) -> np.ndarray:
+    """A zero d x d complex matrix in an anonymous memory map of its own.
+
+    Freed, its pages go back to the system at once. A matrix of this size
+    on the process heap instead stays resident when freed, and small
+    allocations made later split it, so that the next one no longer fits
+    and the heap grows by another matrix: a process building one dense H
+    after another grew by 10-13 MB at cutoff 30, at unpredictable points.
+    On Unix the map is private to the process, and where the platform
+    offers it, it is populated when made, which costs far less than
+    faulting its pages in one by one; Windows maps anonymous memory
+    privately and takes no flags.
+    """
+    size = d * d * np.dtype(complex).itemsize
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        buffer = mmap.mmap(-1, size, flags=flags)
+    else:
+        buffer = mmap.mmap(-1, size)
+    return np.frombuffer(buffer, dtype=complex).reshape(d, d)
+
+
 class BipartiteSystem:
-    """Dimensions of the two factors plus the joint Hamiltonian.
+    """Dimensions of the two factors plus the joint Hamiltonian, held as its
+    coupled blocks.
 
     The composite basis index is a_index * dim_b + b_index (A-major), and the
     Hamiltonian is stored pre-summed; no split into free and interaction
     parts is needed by any algorithm here.
 
-    H is checked once, when the system is built: its shape, its finiteness,
-    then one search of its nonzero pattern for the coupled blocks
-    (``block_indices``, the connected components), over which the symmetry
-    bound ||H - H†||_F <= 1e-9 ||H||_F is summed. The system owns those
-    blocks: ``blocks`` eigendecomposes each of them once, on first use, and
-    every propagator of the system is built from that one decomposition.
-    Only the index sets and the decomposed blocks are kept, never copies of
-    the sub-blocks of H.
+    A system is built from the dense H, ``BipartiteSystem(dim_a, dim_b,
+    hamiltonian)``, or from the diagonal blocks outside which H is zero,
+    ``BipartiteSystem.from_blocks``, which never forms a D x D array. Either
+    way H is checked once, when the system is built: shapes, finiteness,
+    then one search of its nonzero pattern for the coupled blocks (the
+    connected components, ``block_indices``, ascending and ordered by their
+    smallest index, the same sets in the same order for either
+    constructor) and their matrices (``block_matrices``), over which the
+    symmetry bound ||H - H†||_F <= 1e-9 ||H||_F is summed. The system owns
+    those blocks: ``blocks`` eigendecomposes each of them once, on first
+    use, and every propagator of the system is built from that one
+    decomposition. A one-block H is kept as given, not copied.
+
+    ``hamiltonian`` is the dense H. Given to the constructor, it is that
+    matrix; a block-built system assembles it from its blocks, into a memory
+    map of its own, only when it is first read. Systems are immutable.
     """
 
-    dim_a: int
-    dim_b: int
-    hamiltonian: np.ndarray
-    block_indices: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        d = self.dim_a * self.dim_b
-        if self.dim_a < 1 or self.dim_b < 1:
+    def __init__(self, dim_a: int, dim_b: int, hamiltonian):
+        h = np.asarray(hamiltonian, dtype=complex)
+        d = dim_a * dim_b
+        if dim_a < 1 or dim_b < 1:
             raise ValueError("dimensions must be positive")
         if h.shape != (d, d):
             raise ValueError(f"hamiltonian must be {d}x{d}, got {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError("hamiltonian contains non-finite entries")
-        blocks = tuple(_coupled_blocks(h))
-        dev, scale = _block_asymmetry(h, blocks)
+        self._own_blocks(dim_a, dim_b, [(np.arange(d), h)])
+        vars(self)["hamiltonian"] = h
+
+    @classmethod
+    def from_blocks(cls, dim_a: int, dim_b: int, blocks) -> BipartiteSystem:
+        """The system whose H holds each of ``blocks`` and is zero elsewhere.
+
+        ``blocks`` are (indices, matrix) pairs: the index sets partition
+        range(dim_a * dim_b), and each matrix is H on its indices, rows and
+        columns in the order the indices are given. Each block's shape and
+        finiteness are checked, then the partition, then, after the block
+        search, the symmetry bound, with the messages of the dense
+        constructor.
+        """
+        if dim_a < 1 or dim_b < 1:
+            raise ValueError("dimensions must be positive")
+        d = dim_a * dim_b
+        parts = []
+        for number, (idx, m) in enumerate(blocks):
+            idx = np.asarray(idx)
+            m = np.asarray(m, dtype=complex)
+            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+                raise ValueError(f"block {number} indices must be a 1-d integer sequence")
+            if m.shape != (len(idx), len(idx)):
+                raise ValueError(
+                    f"hamiltonian block {number} must be {len(idx)}x{len(idx)}, got {m.shape}"
+                )
+            if not np.isfinite(m).all():
+                raise ValueError("hamiltonian contains non-finite entries")
+            parts.append((idx.astype(np.intp), m))
+        every = np.concatenate([np.empty(0, dtype=np.intp)] + [idx for idx, _ in parts])
+        if every.size and (every.min() < 0 or every.max() >= d):
+            raise ValueError(f"block indices must lie in range({d})")
+        counts = np.bincount(every, minlength=d)
+        if (counts != 1).any():
+            raise ValueError(
+                f"block indices must partition range({d}): "
+                f"{np.count_nonzero(counts == 0)} missing, "
+                f"{np.count_nonzero(counts > 1)} repeated"
+            )
+        system = cls.__new__(cls)
+        system._own_blocks(dim_a, dim_b, parts)
+        return system
+
+    def _own_blocks(self, dim_a: int, dim_b: int, parts) -> None:
+        found = _coupled_blocks(parts)
+        matrices = _cut_blocks(parts, found)
+        dev, scale = _block_asymmetry(matrices)
         if dev > 1e-9 * max(scale, 1e-300):
             raise ValueError(f"hamiltonian is not Hermitian (deviation {dev:.3e})")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "block_indices", blocks)
+        vars(self).update(dim_a=dim_a, dim_b=dim_b, block_indices=tuple(found),
+                          block_matrices=tuple(matrices))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"BipartiteSystem(dim_a={self.dim_a}, dim_b={self.dim_b}, "
+                f"blocks={len(self.block_indices)})")
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """The dense D x D H, assembled from the blocks when first read."""
+        d = self.dim_a * self.dim_b
+        h = _mapped_zeros(d)
+        for idx, m in zip(self.block_indices, self.block_matrices):
+            h[np.ix_(idx, idx)] = m
+        return h
 
     @cached_property
     def blocks(self) -> tuple[HermitianBlock, ...]:
         """The eigendecomposition of H, one coupled block at a time."""
-        return _decompose_blocks(self.hamiltonian, self.block_indices)
+        return _decompose_blocks(self.block_indices, self.block_matrices)
 
 
 @dataclass(frozen=True)
@@ -254,10 +343,17 @@ class ProbeContraction:
     rows: np.ndarray
     energies: np.ndarray
 
+    @cached_property
+    def _rows_adjoint(self) -> np.ndarray:
+        # W† is formed once for every tau. A fresh W-sized temporary per call
+        # is mapped and faulted in anew whenever it exceeds the allocator's
+        # threshold for mapping memory; at cutoff 30 that made each product
+        # for V about 2.5 times slower.
+        return self.rows.conj().T
+
     def propagator(self, tau: float) -> ProjectedPropagator:
         """The projected propagator V(tau)."""
-        w = self.rows
-        v = (w * np.exp(-1j * self.energies * float(tau))) @ w.conj().T
+        v = (self.rows * np.exp(-1j * self.energies * float(tau))) @ self._rows_adjoint
         return ProjectedPropagator(matrix=v, tau=float(tau))
 
 

@@ -11,12 +11,13 @@ number therefore turns one D x D problem into many small ones; a fully
 coupled matrix is a single block and is decomposed as it stands.
 
 A matrix is checked once, block by block: its pattern is searched once
-(``_coupled_blocks``), the symmetry bound ||m - m†||_F <= 1e-9 ||m||_F is
-summed over the blocks it found (``_block_asymmetry``), and the blocks are
-then decomposed without testing them again (``_decompose_blocks``).
-``block_eigendecompose`` does all three for a raw matrix;
-``engine.BipartiteSystem`` does the first two when it is built and keeps
-the index sets, and decomposes on first use.
+(``_coupled_blocks``, from the dense matrix or from diagonal blocks it is
+known to be zero outside), the blocks found are cut out (``_cut_blocks``),
+the symmetry bound ||m - m†||_F <= 1e-9 ||m||_F is summed over them
+(``_block_asymmetry``), and they are then decomposed without testing them
+again (``_decompose_blocks``). ``block_eigendecompose`` does all of it for a
+raw matrix; ``engine.BipartiteSystem`` does all but the last when it is
+built, keeps the blocks, and decomposes them on first use.
 
 The eigenpair routines deliberately use power iteration with a Rayleigh
 quotient and rank-1 deflation rather than a full QR spectrum: only the top
@@ -218,25 +219,45 @@ def hermitian_eigendecompose(m, tol: float = 1e-9, *,
     return HermitianEigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of a.
+def _pattern_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the nonzero pattern of m, made symmetric and given its
+    diagonal, in row-major order."""
+    pattern = m != 0
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, True)
+    return np.divmod(np.flatnonzero(pattern), m.shape[0])
 
-    Indices i and j share a component when a chain of exactly nonzero
-    entries a[i, k], a[k, l], ..., in either orientation, links them. Each
-    set is ascending and the sets are ordered by their smallest index, so a
-    matrix without zero couplings is one block, arange(n). a must be finite.
+
+def _coupled_blocks(parts) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of a matrix.
+
+    The matrix is given as ``parts``, (indices, block) pairs whose index sets
+    partition range(n): it holds each block on its indices and is zero
+    between them. A whole matrix m is the one part (arange(n), m); its
+    edges are read from its dense pattern, and those of several parts from
+    the nonzeros of their blocks. Indices i and j share a component when a
+    chain of exactly nonzero entries m[i, k], m[k, l], ..., in either
+    orientation, links them. Each set is ascending and the sets are ordered
+    by their smallest index, however the matrix was split into parts, so a
+    matrix without zero couplings is one block, arange(n). The blocks must
+    be finite.
     """
+    if len(parts) == 1 and np.array_equal(parts[0][0], np.arange(len(parts[0][0]))):
+        # A whole matrix: its row-major edges are in order already.
+        rows, cols = _pattern_edges(parts[0][1])
+    else:
+        edges = [(idx[r], idx[c]) for idx, m in parts for r, c in [_pattern_edges(m)]]
+        rows = np.concatenate([r for r, _ in edges])
+        cols = np.concatenate([c for _, c in edges])
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
     # Every index starts labelled by itself. Each pass gives every index the
     # smallest label among its neighbours, then replaces each label by that
     # label's own label (pointer jumping, which keeps the number of passes
     # far below the length of the longest chain), until nothing changes.
-    n = a.shape[0]
-    pattern = a != 0
-    pattern |= pattern.T
-    np.fill_diagonal(pattern, True)
-    # Row-major flat indices, so rows come out ascending and each row's
-    # entries are contiguous (the diagonal makes every row nonempty).
-    rows, cols = np.divmod(np.flatnonzero(pattern), n)
+    # Rows are ascending and each row's entries contiguous (the diagonal
+    # makes every row nonempty).
+    n = sum(len(idx) for idx, _ in parts)
     starts = np.searchsorted(rows, np.arange(n))
     label = np.arange(n)
     while True:
@@ -249,33 +270,59 @@ def _coupled_blocks(a: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _block_asymmetry(a: np.ndarray, blocks) -> tuple[float, float]:
-    """(||a - a†||_F, ||a||_F), summed block by block over ``_coupled_blocks(a)``.
+def _index_owners(groups, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For disjoint index sets ``groups`` covering range(d): the number of
+    the set holding each index, and the index's place within that set."""
+    owner = np.empty(d, dtype=int)
+    place = np.empty(d, dtype=int)
+    for number, idx in enumerate(groups):
+        owner[idx] = number
+        place[idx] = np.arange(len(idx))
+    return owner, place
 
-    No nonzero entry of a, nor therefore of a - a†, lies outside the blocks,
-    so the root sums of squares over them are the whole matrix's norms. A
-    single block is a itself and is not copied.
+
+def _cut_blocks(parts, found) -> list[np.ndarray]:
+    """The matrix of each block ``_coupled_blocks(parts)`` found.
+
+    A found block lies within one part, and is cut out of that part's
+    block; one that is a whole part, in the same order, is that part's
+    matrix itself, not a copy.
+    """
+    owner, place = _index_owners([idx for idx, _ in parts], sum(len(idx) for idx, _ in parts))
+    out = []
+    for idx in found:
+        given, m = parts[owner[idx[0]]]
+        if np.array_equal(idx, given):
+            out.append(m)
+        else:
+            out.append(m[np.ix_(place[idx], place[idx])])
+    return out
+
+
+def _block_asymmetry(matrices) -> tuple[float, float]:
+    """(||a - a†||_F, ||a||_F) of the matrix a made of the blocks ``matrices``.
+
+    a is zero outside its blocks, and so is a - a†, so the root sums of
+    squares over the blocks are the whole matrix's norms.
     """
     dev = scale = 0.0
-    for idx in blocks:
-        s = a if len(blocks) == 1 else a[np.ix_(idx, idx)]
+    for s in matrices:
         dev += np.linalg.norm(s - s.conj().T) ** 2
         scale += np.linalg.norm(s) ** 2
     return float(np.sqrt(dev)), float(np.sqrt(scale))
 
 
-def _decompose_blocks(a: np.ndarray, blocks) -> tuple[HermitianBlock, ...]:
-    """Eigendecompose each of ``_coupled_blocks(a)``, already checked.
+def _decompose_blocks(found, matrices) -> tuple[HermitianBlock, ...]:
+    """Eigendecompose the blocks ``matrices`` on the index sets ``found``,
+    already checked.
 
-    The caller has found a finite and its ``_block_asymmetry`` within the
-    bound, so each block goes to ``hermitian_eigendecompose`` unchecked: a
-    block's asymmetry may be large against its own small norm and still
-    within the bound for the whole matrix. A single block is a itself and is
-    not copied.
+    The caller has found every block finite and their ``_block_asymmetry``
+    within the bound, so each block goes to ``hermitian_eigendecompose``
+    unchecked: a block's asymmetry may be large against its own small norm
+    and still within the bound for the whole matrix.
     """
     out = []
-    for idx in blocks:
-        s = a if len(blocks) == 1 else a[np.ix_(idx, idx)]
+    for idx, s in zip(found, matrices):
         eig = hermitian_eigendecompose(s, checked=True)
         out.append(HermitianBlock(idx, eig.eigenvalues, eig.eigenvectors))
     return tuple(out)
@@ -293,9 +340,11 @@ def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:
     as it stands, without copying it out.
     """
     a = _as_square(m)
-    blocks = _coupled_blocks(a)
-    _check_hermitian(*_block_asymmetry(a, blocks))
-    return _decompose_blocks(a, blocks)
+    parts = [(np.arange(a.shape[0]), a)]
+    found = _coupled_blocks(parts)
+    matrices = _cut_blocks(parts, found)
+    _check_hermitian(*_block_asymmetry(matrices))
+    return _decompose_blocks(found, matrices)
 
 
 def _block_selection(groups, d: int, indices):
@@ -309,11 +358,7 @@ def _block_selection(groups, d: int, indices):
     [np.ix_(local, local)], and zero between two different sets.
     """
     indices = np.asarray(indices, dtype=int)
-    owner = np.empty(d, dtype=int)
-    place = np.empty(d, dtype=int)
-    for number, idx in enumerate(groups):
-        owner[idx] = number
-        place[idx] = np.arange(len(idx))
+    owner, place = _index_owners(groups, d)
     chosen = owner[indices]
     for number in np.unique(chosen):
         rows = np.flatnonzero(chosen == number)

@@ -24,7 +24,6 @@ does not load it.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,47 +274,38 @@ def eigenvector_u_n(c: ClosedFormCoefficients, n: int, cutoff: int) -> np.ndarra
     return vec
 
 
-def _mapped_zeros(d: int) -> np.ndarray:
-    """A zero d x d complex matrix in an anonymous memory map of its own.
-
-    Freed, its pages go back to the system at once. A matrix of this size
-    on the process heap instead stays resident when freed, and small
-    allocations made later split it, so that the next one no longer fits
-    and the heap grows by another matrix: a process building one system
-    after another grew by 10-13 MB at cutoff 30, at unpredictable points.
-    On Unix the map is private to the process, and where the platform
-    offers it, it is populated when made, which costs far less than
-    faulting its pages in one by one; Windows maps anonymous memory
-    privately and takes no flags.
-    """
-    size = d * d * np.dtype(complex).itemsize
-    if hasattr(mmap, "MAP_ANONYMOUS"):
-        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-        buffer = mmap.mmap(-1, size, flags=flags)
-    else:
-        buffer = mmap.mmap(-1, size)
-    return np.frombuffer(buffer, dtype=complex).reshape(d, d)
+def _excitation_states(na: int, nb: int):
+    """Occupations (n_a, n_b) of the states with n_a + n_b = k, by ascending
+    n_a and so by ascending composite index n_a * nb + n_b, for each k."""
+    for k in range(na + nb - 1):
+        occ_a = np.arange(max(0, k - nb + 1), min(k, na - 1) + 1)
+        yield occ_a, k - occ_a
 
 
 def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     """Truncated two-mode Hamiltonian, Hermitian by construction.
 
     H = big_omega a†a + omega b†b + i g (a†b - a b†) on the A-major product
-    basis, with number operators built exactly as integer diagonals. The
-    dense matrix is held in a memory map of its own (``_mapped_zeros``).
+    basis, with number operators built exactly as integer diagonals. H
+    conserves n_a + n_b, so it is built as one small matrix per total
+    excitation number, on that number's states (``_excitation_states``),
+    and handed to ``BipartiteSystem.from_blocks``; no D x D array is formed.
+    Each block equals the dense H restricted to its indices, bit for bit.
     """
     na, nb = p.n_max_a, p.n_max_b
-    d = na * nb
-    occ_a, occ_b = np.divmod(np.arange(d), nb)
-    h = _mapped_zeros(d)
-    h[np.diag_indices(d)] = p.big_omega * occ_a + p.omega * occ_b
-    # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
-    # index + nb - 1; -i g a b† is its adjoint.
-    src = np.flatnonzero((occ_a < na - 1) & (occ_b > 0))
-    amp = 1j * p.g * (np.sqrt(occ_a[src] + 1.0) * np.sqrt(occ_b[src]))
-    h[src + nb - 1, src] = amp
-    h[src, src + nb - 1] = amp.conj()
-    return BipartiteSystem(dim_a=na, dim_b=nb, hamiltonian=h)
+    blocks = []
+    for occ_a, occ_b in _excitation_states(na, nb):
+        n = len(occ_a)
+        h = np.zeros((n, n), dtype=complex)
+        h[np.diag_indices(n)] = p.big_omega * occ_a + p.omega * occ_b
+        # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
+        # the next state of the block; -i g a b† is its adjoint.
+        amp = 1j * p.g * (np.sqrt(occ_a[:-1] + 1.0) * np.sqrt(occ_b[:-1]))
+        step = np.arange(n - 1)
+        h[step + 1, step] = amp
+        h[step, step + 1] = amp.conj()
+        blocks.append((occ_a * nb + occ_b, h))
+    return BipartiteSystem.from_blocks(na, nb, blocks)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
@@ -449,13 +439,13 @@ def factorized_propagator(p: OscillatorParams, indices=None) -> np.ndarray:
     from scipy.linalg import expm
 
     c = coefficients(p)
-    occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
-    # States with n_a + n_b = k, by ascending n_a; a†b moves each one to the
-    # next, a b† to the previous.
-    groups = [np.flatnonzero(occ_a + occ_b == k) for k in range(na + nb - 1)]
+    # a†b moves each state of an excitation block to the next, a b† to the
+    # previous.
+    states = list(_excitation_states(na, nb))
+    groups = [a_k * nb + b_k for a_k, b_k in states]
     out = np.zeros((len(indices), len(indices)), dtype=complex)
     for number, rows, local in _block_selection(groups, na * nb, indices):
-        a_k, b_k = occ_a[groups[number]], occ_b[groups[number]]
+        a_k, b_k = states[number]
         up = np.diag(np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1]), k=-1)
         diagonal = c.exp_b ** a_k * c.exp_c ** b_k
         block = (expm(c.a_coef * up) * diagonal) @ expm(-c.a_coef * up.T)

@@ -534,6 +534,48 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
     assert len(solves) == spectrum_solves
 
 
+@pytest.mark.parametrize("command, option", [
+    ("spectrum", ["--steps", "3"]), ("purify", ["--jobs", "2"]),
+])
+def test_subcommand_refuses_option_it_ignores(tmp_path, capsys, command, option):
+    cfg = write(tmp_path, FIG1_CONFIG)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", cfg, *option])
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    ("figure1", 0), ("spectrum", 0), ("purify", 0), ("compare", 3), ("zeno", 0),
+])
+def test_commands_form_no_dense_hamiltonian(tmp_path, capsys, monkeypatch, command, exit_code):
+    # The oscillator H is built from its excitation blocks; a dense D x D H
+    # exists only once BipartiteSystem.hamiltonian is read, which no command
+    # does. At cutoff 12 compare reports its truncation breach (exit code 3).
+    def no_dense(d):
+        raise AssertionError(f"a dense {d}x{d} H was formed")
+
+    monkeypatch.setattr(engine, "_mapped_zeros", no_dense)
+    argv = [command, "--cutoff", "12"]
+    if command != "figure1":
+        argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code and out
+
+
+def test_figure1_converged_from_cutoff_60_to_100(capsys):
+    # Without a D x D H, cutoff 100 (D = 10,000) is within reach, and the
+    # reference trajectory no longer moves beyond cutoff 60.
+    tables = {}
+    for cutoff in ("60", "100"):
+        code, out, _ = run_cli(capsys, "figure1", "--cutoff", cutoff, "--steps", "10")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        tables[cutoff] = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert tables["60"].shape == tables["100"].shape == (11, 6)
+    np.testing.assert_allclose(tables["100"], tables["60"], rtol=0, atol=1e-12)
+
+
 def test_golden_figure1(capsys):
     # Byte-identical regression against a frozen run of the same command.
     golden = (GOLDEN_DIR / "figure1.csv").read_text(encoding="utf-8")

@@ -154,6 +154,92 @@ def test_bipartite_system_decomposes_each_block_once(monkeypatch):
     assert len(seen) == len(split.block_indices) == 6
 
 
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_from_blocks_matches_dense_constructor(seed):
+    # A permuted block-diagonal H, some of its blocks diagonal, handed over
+    # as unions of its blocks in shuffled order with shuffled indices: the
+    # block constructor must find the blocks the dense constructor finds, in
+    # the same order, with the same matrices and decompositions.
+    rng = np.random.default_rng(seed)
+    dim_a, dim_b = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    d = dim_a * dim_b
+    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
+    h = np.zeros((d, d), dtype=complex)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
+        a = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
+        a = (a + a.conj().T) / 2
+        h[lo:hi, lo:hi] = np.diag(np.diag(a)) if rng.uniform() < 0.3 else a
+    perm = rng.permutation(d)
+    h = h[np.ix_(perm, perm)]
+    joined = cuts[rng.uniform(size=len(cuts)) < 0.5]
+    parts = [rng.permutation(np.flatnonzero((perm >= lo) & (perm < hi)))
+             for lo, hi in zip(np.r_[0, joined], np.r_[joined, d])]
+    parts = [parts[i] for i in rng.permutation(len(parts))]
+    built = BipartiteSystem.from_blocks(dim_a, dim_b, [(idx, h[np.ix_(idx, idx)]) for idx in parts])
+    dense = BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=h)
+    assert len(built.block_indices) == len(dense.block_indices)
+    for ours, theirs in zip(built.block_indices, dense.block_indices):
+        np.testing.assert_array_equal(ours, theirs)
+    for ours, theirs in zip(built.block_matrices, dense.block_matrices):
+        np.testing.assert_array_equal(ours, theirs)
+    for ours, theirs in zip(built.blocks, dense.blocks):
+        np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
+        np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
+    np.testing.assert_array_equal(built.hamiltonian, h)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([([0, 1], np.eye(2)), ([1, 2, 3], np.eye(3))], r"partition range\(4\): 0 missing, 1 repeated"),
+    ([([0, 1], np.eye(2)), ([3], np.eye(1))], r"partition range\(4\): 1 missing, 0 repeated"),
+    ([([0, 1], np.eye(2)), ([2, 4], np.eye(2))], r"must lie in range\(4\)"),
+    ([([0, 1], np.eye(3)), ([2, 3], np.eye(2))], r"block 0 must be 2x2, got \(3, 3\)"),
+    ([([0, 1], np.eye(2)), ([2.0, 3.0], np.eye(2))], r"block 1 indices must be a 1-d integer"),
+])
+def test_from_blocks_refuses_malformed_blocks(blocks, message):
+    with pytest.raises(ValueError, match=message):
+        BipartiteSystem.from_blocks(2, 2, blocks)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_from_blocks_refuses_non_finite_before_block_search(monkeypatch, bad):
+    def no_search(parts):
+        raise AssertionError("the block search ran on a non-finite H")
+
+    monkeypatch.setattr(engine, "_coupled_blocks", no_search)
+    block = np.eye(2, dtype=complex)
+    block[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BipartiteSystem.from_blocks(2, 2, [([0, 1], np.eye(2)), ([2, 3], block)])
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_from_blocks_sums_the_symmetry_bound(factor):
+    # Asymmetry at 0.5x or 2x the bound for the whole H, all of it in a
+    # small block beside a large one: against its own norm the small block
+    # is far from Hermitian either way, but only the whole H counts.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    big = (a + a.conj().T) * 1e4
+    small = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    scale = np.hypot(np.linalg.norm(big), np.linalg.norm(small))
+    # K is anti-Hermitian with ||K||_F = 1, so ||E - E†||_F = 2c for E = c K.
+    k = np.array([[1j, 1.0], [-1.0, 1j]]) / 2
+    small = small + factor * 1e-9 * scale / 2 * k
+    blocks = [([0, 2, 4], big), ([1, 3], small), ([5], np.zeros((1, 1)))]
+    h = np.zeros((6, 6), dtype=complex)
+    for idx, m in blocks:
+        h[np.ix_(idx, idx)] = m
+    assert (np.linalg.norm(h - h.conj().T) <= 1e-9 * np.linalg.norm(h)) == (factor < 1)
+    if factor > 1:
+        with pytest.raises(ValueError, match=r"not Hermitian \(deviation"):
+            BipartiteSystem.from_blocks(2, 3, blocks)
+        return
+    sys_ = BipartiteSystem.from_blocks(2, 3, blocks)
+    assert sys_.block_matrices[0] is big  # a whole given block is kept, not copied
+    np.testing.assert_array_equal(sys_.hamiltonian, h)
+
+
 def test_probe_state_must_be_normalized():
     with pytest.raises(ValueError):
         ProbeState(np.array([1.0, 1.0]))

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from zenopure.engine import (
+    BipartiteSystem,
     DensityMatrix,
     ProbeState,
     build_projected_propagator,
@@ -232,6 +234,37 @@ def test_hamiltonian_matches_kron_construction(n_max_a, n_max_b):
     p = OscillatorParams(1.3, 0.7, 0.2, 0.0, beta=1.0, tau=1.0,
                          n_max_a=n_max_a, n_max_b=n_max_b)
     np.testing.assert_array_equal(build_hamiltonian(p).hamiltonian, kron_hamiltonian(p))
+
+
+@given(n_max_a=st.integers(1, 12), n_max_b=st.integers(1, 12),
+       g=st.sampled_from([0.0, 0.2, -0.7]), detuning=st.sampled_from([0.0, 0.45]),
+       seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_block_built_system_matches_dense_route(n_max_a, n_max_b, g, detuning, seed):
+    # build_hamiltonian hands its excitation blocks to the block constructor;
+    # the system built from the whole kron H must come out the same, bit for
+    # bit: the same blocks in the same order (at g = 0 every state is a
+    # block of its own), the same decompositions, V and dense H.
+    p = OscillatorParams(1.0 + detuning, 1.0, g, 0.0, beta=1.0, tau=1.0,
+                         n_max_a=n_max_a, n_max_b=n_max_b)
+    built = build_hamiltonian(p)
+    dense = BipartiteSystem(dim_a=n_max_a, dim_b=n_max_b, hamiltonian=kron_hamiltonian(p))
+    assert len(built.block_indices) == len(dense.block_indices)
+    for ours, theirs, m_ours, m_theirs in zip(built.block_indices, dense.block_indices,
+                                              built.block_matrices, dense.block_matrices):
+        np.testing.assert_array_equal(ours, theirs)
+        np.testing.assert_array_equal(m_ours, m_theirs)
+    for ours, theirs in zip(built.blocks, dense.blocks):
+        np.testing.assert_array_equal(ours.indices, theirs.indices)
+        np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
+        np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(n_max_a) + 1j * rng.standard_normal(n_max_a)
+    probe = ProbeState(phi / np.linalg.norm(phi))
+    tau = rng.uniform(0.1, 3.0)
+    np.testing.assert_array_equal(build_projected_propagator(built, probe, tau).matrix,
+                                  build_projected_propagator(dense, probe, tau).matrix)
+    np.testing.assert_array_equal(built.hamiltonian, dense.hamiltonian)
 
 
 def test_hamiltonian_kept_off_the_heap():
