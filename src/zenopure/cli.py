@@ -166,7 +166,7 @@ def _propagator(model: _Model) -> engine.ProjectedPropagator:
     return engine.build_projected_propagator(model.system, model.phi, model.tau)
 
 
-def _target_vector(model: _Model, v: engine.ProjectedPropagator, seed: int):
+def _target_vector(model: _Model, v: engine.ProjectedPropagator):
     """Fidelity/distance target: closed-form coherent state when available,
     otherwise the computed dominant eigenvector, otherwise None."""
     if model.params is not None:
@@ -175,7 +175,7 @@ def _target_vector(model: _Model, v: engine.ProjectedPropagator, seed: int):
         except osc.DegenerateInterval:
             return None
         return osc.coherent_state(coeffs.alpha_tilde, model.params.n_max_b)
-    found = top_k_eigenpairs(v.matrix, 1, seed=seed)
+    found = top_k_eigenpairs(v.matrix, 1)
     return found.pairs[0].right if found.pairs else None
 
 
@@ -209,7 +209,7 @@ def cmd_spectrum(args) -> int:
         except osc.DegenerateInterval as exc:
             unavailable = f"closed_form = unavailable ({exc})"
     k = 2 if coeffs is None else 5
-    found = top_k_eigenpairs(v.matrix, min(k, v.dim), seed=args.seed)
+    found = top_k_eigenpairs(v.matrix, min(k, v.dim))
     report = engine.spectral_report(v, model.rho0, epsilon=epsilon, eigenpairs=found)
     lines = [f"degenerate = {'true' if report.degenerate else 'false'}"]
     if report.lambda0 is not None:
@@ -248,13 +248,13 @@ def _closed_form_lines(coeffs, found) -> list[str]:
     return lines
 
 
-def _trajectory_csv(model: _Model, steps: int, seed: int) -> str:
+def _trajectory_csv(model: _Model, steps: int) -> str:
     try:
         v = _propagator(model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    target = _target_vector(model, v, seed)
-    trajectory = engine.run_purification(model.rho0, v, steps, target=target, seed=seed)
+    target = _target_vector(model, v)
+    trajectory = engine.run_purification(model.rho0, v, steps, target=target)
     target_dm = None
     if target is not None:
         target_dm = engine.DensityMatrix(np.outer(target, target.conj()))
@@ -277,7 +277,7 @@ def cmd_purify(args) -> int:
     cfg, config_dir = _load_for(args)
     model = _build_model(cfg, config_dir, args.cutoff)
     steps = args.steps if args.steps is not None else cfg.n_steps
-    _write_output(_trajectory_csv(model, steps, args.seed), args.out)
+    _write_output(_trajectory_csv(model, steps), args.out)
     return 0
 
 
@@ -295,7 +295,7 @@ def cmd_figure1(args) -> int:
     )
     model = _build_model(cfg, os.getcwd(), args.cutoff)
     steps = args.steps if args.steps is not None else cfg.n_steps
-    _write_output(_trajectory_csv(model, steps, args.seed), args.out)
+    _write_output(_trajectory_csv(model, steps), args.out)
     return 0
 
 
@@ -363,14 +363,13 @@ def cmd_compare(args) -> int:
         )
 
     # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
-    # the spectrum lies on a circle and power iteration rightly refuses.
+    # the spectrum lies on a circle and the eigensolver rightly refuses.
     # One solve of V's spectrum serves the trajectory's target and the
     # geometric check, which needs five pairs; without that check one does.
     geometric = coeffs.abs_exp_c < 1.0 - 1e-9
     found = None
     if v_eng is not None:
-        found = top_k_eigenpairs(v_eng.matrix, min(5 if geometric else 1, v_eng.dim),
-                                 seed=args.seed)
+        found = top_k_eigenpairs(v_eng.matrix, min(5 if geometric else 1, v_eng.dim))
 
     if v_eng is None:
         check("trajectory_max_trace_distance", "trajectory", None, "no propagator")
@@ -450,14 +449,10 @@ def cmd_zeno(args) -> int:
     return 0
 
 
-#: Subcommands whose output the eigensolver seed cannot change: zeno solves
-#: no spectrum, and figure1's purification target is the closed-form state.
-_SEED_UNUSED = ("zeno", "figure1")
-
-
 def _add_options(sub: argparse.ArgumentParser, command: str) -> None:
-    """Give ``command`` the options it honours; --seed is accepted by every
-    subcommand, so that one command line serves them all."""
+    """Give ``command`` the options it honours, and --seed, which every
+    subcommand accepts and none uses, so that one command line serves them
+    all."""
     if command != "figure1":
         sub.add_argument("--config", required=True, help="experiment config file")
     sub.add_argument("--cutoff", type=int, default=None,
@@ -466,8 +461,7 @@ def _add_options(sub: argparse.ArgumentParser, command: str) -> None:
         sub.add_argument("--steps", type=int, default=None,
                          help="override the number of confirmations")
     sub.add_argument("--seed", type=int, default=0,
-                     help="accepted, but has no effect on this subcommand"
-                     if command in _SEED_UNUSED else "seed for the eigensolver start vectors")
+                     help="accepted, but has no effect: the eigensolver is deterministic")
     sub.add_argument("--out", default=None, help="write output to this file")
     if command == "zeno":
         sub.add_argument("--jobs", type=int, default=1,

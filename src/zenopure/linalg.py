@@ -19,12 +19,15 @@ again (``_decompose_blocks``). ``block_eigendecompose`` does all of it for a
 raw matrix; ``engine.BipartiteSystem`` does all but the last when it is
 built, keeps the blocks, and decomposes them on first use.
 
-The eigenpair routines deliberately use power iteration with a Rayleigh
-quotient and rank-1 deflation rather than a full QR spectrum: only the top
-few eigenvalues are ever needed, starts are seed-deterministic, and a
-magnitude tie is reported as a refusal (NoConvergence) instead of an
-arbitrary pick, because downstream purification logic must know when the
-dominant eigenvalue is not unique.
+The eigenpair routines take the whole spectrum from one LAPACK ``eig``
+(``numpy.linalg.eig``; importing scipy would cost every fresh process far
+more than the solve), rank it by magnitude, and take each left vector from
+the eigenvector matrix R by solving R† Y = E_k, so <left|right> = 1 holds by
+construction. A pair is refused (NoConvergence) rather than picked when its
+magnitude ties with the next eigenvalue's (relative gap at or below
+TIE_GAP) or when it is near-defective (unit left/right overlap below
+MIN_OVERLAP): downstream purification logic must know when the dominant
+eigenvalue is not unique. The refusal reports the measured gap or overlap.
 """
 
 from __future__ import annotations
@@ -56,9 +59,21 @@ __all__ = [
 #: outside the desk-scale regime this package is written for.
 MAX_TENSOR_DIM = 4096
 
-#: Defaults for the iterative eigensolvers.
+#: Default residual bound of the eigenpair routines. DEFAULT_MAX_ITER is
+#: kept in their signatures and has no effect.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+
+#: Relative magnitude gap (|lambda_i| - |lambda_i+1|) / |lambda_i| at or
+#: below which eigenvalue i ties with the next and its pair is refused. It
+#: sits far below 6e-4, the smallest gap among the top three magnitudes of
+#: criterion 9's random contractions, and far above the ~1e-8 split that
+#: rounding gives the double eigenvalue of a defective pair.
+TIE_GAP = 1e-6
+
+#: Unit left/right overlap |<v|u>| below which a pair is near-defective and
+#: refused: 1 / |<v|u>| is its eigenvalue's condition number.
+MIN_OVERLAP = 1e-8
 
 _UNDERFLOW = 1e-300
 
@@ -68,12 +83,12 @@ class NotHermitian(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Iteration cap reached, or no usable magnitude gap exists.
+    """No usable magnitude gap, a near-defective pair, or a failed solve.
 
-    For power iteration this is a diagnosis, not necessarily a bug: equal
-    dominant-eigenvalue magnitudes (unitary input, defective blocks) make
-    the dominant pair ill-defined and the solver refuses rather than pick.
-    The best residual seen is attached as ``residual``.
+    For the eigenpair routines this is a diagnosis, not necessarily a bug:
+    equal dominant-eigenvalue magnitudes (unitary input, defective blocks)
+    make the dominant pair ill-defined and the solver refuses rather than
+    pick. The refused pair's residual is attached as ``residual``.
     """
 
     def __init__(self, message: str, residual: float = np.inf):
@@ -146,9 +161,9 @@ class EigenPair:
 class TopKResult:
     """Eigenpairs sorted by descending magnitude.
 
-    ``truncated`` is set when extraction stopped early because some stage hit
-    a magnitude tie or the iteration cap; ``pairs`` then holds fewer entries
-    than requested.
+    ``truncated`` is set when extraction stopped early at a refused pair (a
+    magnitude tie, a near-defective pair or a residual above tolerance);
+    ``pairs`` then holds fewer entries than requested.
     """
 
     pairs: tuple[EigenPair, ...]
@@ -394,143 +409,90 @@ def unitary_exponential(h, t: float) -> np.ndarray:
     return unitary_from_blocks(block_eigendecompose(h), t)
 
 
-def _power_iterate(step: np.ndarray, reference: np.ndarray, tol: float,
-                   max_iter: int, rng: np.random.Generator):
-    """Power iteration driven by ``step`` but converged against ``reference``.
-
-    The two matrices coincide for a plain dominant-pair call; in a deflation
-    chain ``step`` is the deflated matrix while the residual and Rayleigh
-    quotient are taken against the original, so returned pairs are pairs of
-    the original matrix.
-
-    Returns (eigenvalue, unit vector, residual). Raises NoConvergence when
-    the iteration cap is reached.
-    """
-    n = step.shape[0]
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    best = np.inf
-    for _ in range(max_iter):
-        z = reference @ x
-        lam = np.vdot(x, z)
-        residual = float(np.linalg.norm(z - lam * x))
-        best = min(best, residual)
-        if residual <= tol:
-            return complex(lam), x, residual
-        y = step @ x
-        ny = np.linalg.norm(y)
-        if ny < _UNDERFLOW:
-            # x is annihilated: it sits in the kernel, eigenvalue zero.
-            residual = float(np.linalg.norm(reference @ x))
-            if residual <= tol:
-                return 0.0 + 0.0j, x, residual
-            raise NoConvergence(
-                "iterate annihilated without meeting the residual tolerance",
+def _ranked_pairs(a: np.ndarray, k: int, tol: float):
+    """``top_k_eigenpairs``' pairs, and the NoConvergence that refused the
+    next one, reporting the measured gap, overlap or residual (None when
+    all k pairs were taken)."""
+    n = a.shape[0]
+    if not 0 <= k <= n:
+        raise ValueError(f"k must be between 0 and {n}, got {k}")
+    if k == 0:
+        return [], None
+    try:
+        values, vectors = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        return [], NoConvergence(f"eigenvalue computation failed: {exc}")
+    order = np.argsort(-np.abs(values), kind="stable")
+    # Row i of ``rights`` is the unit right vector r_i of values[i]. Column
+    # i of ``lefts`` solves <r_j|y_i> = delta_ij for every j, so
+    # <y_i|r_i> = 1 holds by construction.
+    values, rights = values[order], vectors.T[order]
+    magnitudes = np.abs(values)
+    try:
+        lefts = np.linalg.solve(rights.conj(), np.eye(n, k, dtype=complex))
+    except np.linalg.LinAlgError:
+        lefts = np.zeros((n, k), dtype=complex)  # singular: overlap 0 below
+    pairs = []
+    for i in range(k):
+        value, right, left = complex(values[i]), rights[i], lefts[:, i]
+        residual = float(np.linalg.norm(a @ right - value * right))
+        if i + 1 < n:
+            drop = magnitudes[i] - magnitudes[i + 1]
+            gap = drop / magnitudes[i] if magnitudes[i] else 0.0
+            if gap <= TIE_GAP:
+                return pairs, NoConvergence(
+                    f"magnitude tie: |lambda{i}| = {magnitudes[i]:.6e}, "
+                    f"|lambda{i + 1}| = {magnitudes[i + 1]:.6e}, relative gap "
+                    f"{gap:.3e} <= {TIE_GAP:.0e}",
+                    residual,
+                )
+        norm = np.linalg.norm(left)
+        overlap = abs(np.vdot(left, right)) / norm if norm else 0.0
+        if not overlap >= MIN_OVERLAP:  # a NaN overlap is refused too
+            # Left and right vectors of a simple eigenvalue cannot be
+            # orthogonal; nearly orthogonal ones mark a near-defective pair.
+            return pairs, NoConvergence(
+                f"left/right vectors nearly orthogonal (|<v|u>| = {overlap:.3e} "
+                f"< {MIN_OVERLAP:.0e})",
                 residual,
             )
-        step_lam = np.vdot(x, y)
-        if float(np.linalg.norm(y - step_lam * x)) <= tol:
-            # Locked onto a step eigenvector, but the residual against the
-            # reference is floored by the error the deflation chain carried
-            # in. Further power steps cannot move x; refine it against the
-            # reference directly.
-            lam, x, residual = _shifted_refine(reference, x, lam)
-            best = min(best, residual)
-            if residual <= tol:
-                return complex(lam), x, residual
-            raise NoConvergence(
-                f"refinement stalled at residual {residual:.3e} "
-                f"(tolerance {tol:.1e})",
-                residual,
+        if residual > tol:
+            return pairs, NoConvergence(
+                f"residual {residual:.3e} above tolerance {tol:.1e}", residual
             )
-        x = y / ny
-    raise NoConvergence(
-        f"power iteration did not reach residual {tol:.1e} in {max_iter} steps "
-        f"(best {best:.3e}); dominant eigenvalue magnitudes may coincide",
-        best,
-    )
-
-
-def _shifted_refine(reference: np.ndarray, x: np.ndarray, lam: complex):
-    """A few shifted inverse-iteration steps against ``reference``.
-
-    Entered only with x already an eigenvector of the deflated step matrix
-    to tolerance, so the Rayleigh shift sits within deflation error of the
-    target eigenvalue and inverse iteration sharpens the same pair rather
-    than jumping to a neighbor.
-    """
-    eye = np.eye(reference.shape[0], dtype=complex)
-    residual = float(np.linalg.norm(reference @ x - lam * x))
-    best = (complex(lam), x, residual)
-    for _ in range(4):
-        y = None
-        # An exact Rayleigh shift can make the LU factorization exactly
-        # singular; a relative nudge of the shift restores an invertible
-        # system while keeping the inverse-iteration gain enormous.
-        for shift in (lam, lam + 1e-12 * max(1.0, abs(lam))):
-            try:
-                candidate = np.linalg.solve(reference - shift * eye, x)
-            except np.linalg.LinAlgError:
-                continue
-            ny = np.linalg.norm(candidate)
-            if np.isfinite(ny) and ny >= _UNDERFLOW:
-                y = candidate
-                break
-        if y is None:
-            break
-        x = y / ny
-        z = reference @ x
-        lam = np.vdot(x, z)
-        residual = float(np.linalg.norm(z - lam * x))
-        if residual < best[2]:
-            best = (complex(lam), x, residual)
-    return best
+        left = left / np.conj(np.vdot(left, right))
+        pairs.append(EigenPair(value=value, right=right, left=left, residual=residual))
+    return pairs, None
 
 
 def dominant_eigenpair(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                        seed: int = 0) -> EigenPair:
     """Largest-magnitude eigenvalue with right and left eigenvectors.
 
-    Power iteration with a Rayleigh-quotient estimate, started from a
-    seed-deterministic random vector. The left vector is obtained from the
-    adjoint matrix and rescaled so <left|right> = 1 while ||right|| = 1.
+    The first pair ``top_k_eigenpairs`` would return, from one LAPACK
+    ``eig`` of m. ``max_iter`` and ``seed`` are accepted and have no effect.
 
-    Raises NoConvergence when there is no usable magnitude gap (the refusal
-    signals that a unique dominant eigenvalue does not exist, which is
-    exactly the condition purification analysis must detect).
+    Raises NoConvergence when the pair is refused, with the measured value
+    in the message: when |lambda0| ties with |lambda1| (relative gap
+    (|lambda0| - |lambda1|) / |lambda0| at or below TIE_GAP, 1e-6), so that
+    no unique dominant eigenvalue exists, which is exactly the condition
+    purification analysis must detect; when the pair is near-defective
+    (unit left/right overlap |<v|u>| below MIN_OVERLAP, 1e-8); or when its
+    residual exceeds ``tol``.
     """
-    a = _as_square(m)
-    rng = np.random.default_rng(seed)
-    return _pair_from(a, a, tol, max_iter, rng)
-
-
-def _pair_from(step: np.ndarray, reference: np.ndarray, tol: float, max_iter: int,
-               rng: np.random.Generator) -> EigenPair:
-    lam, right, residual = _power_iterate(step, reference, tol, max_iter, rng)
-    lam_l, left, _ = _power_iterate(step.conj().T, reference.conj().T, tol, max_iter, rng)
-    if abs(np.conj(lam_l) - lam) > max(10 * tol, 1e-8 * abs(lam)):
-        raise NoConvergence(
-            f"left/right eigenvalue mismatch ({np.conj(lam_l):.6e} vs {lam:.6e})",
-            residual,
-        )
-    overlap = np.vdot(left, right)
-    if abs(overlap) < 1e-8:
-        # Near-defective: left and right vectors of a genuine simple
-        # eigenvalue cannot be orthogonal.
-        raise NoConvergence(
-            f"left/right vectors nearly orthogonal (|<v|u>| = {abs(overlap):.3e})",
-            residual,
-        )
-    left = left / np.conj(overlap)
-    return EigenPair(value=complex(lam), right=right, left=left, residual=residual)
+    pairs, refusal = _ranked_pairs(_as_square(m), 1, tol)
+    if refusal is not None:
+        raise refusal
+    return pairs[0]
 
 
 def deflate(m, pair: EigenPair) -> np.ndarray:
     """Remove one eigenpair: m - value * |right><left|.
 
-    On the result, the dominant pair of the remaining spectrum becomes
-    reachable by power iteration. The pair must carry the gauge this module
-    produces (unit right vector, <left|right> = 1).
+    The pair's eigenvalue becomes 0 and the rest of the spectrum stays, so
+    the next pair by magnitude becomes the dominant one. The pair must
+    carry the gauge this module produces (unit right vector,
+    <left|right> = 1).
     """
     a = _as_square(m)
     right = np.asarray(pair.right, dtype=complex)
@@ -546,27 +508,16 @@ def deflate(m, pair: EigenPair) -> np.ndarray:
 
 def top_k_eigenpairs(m, k: int, tol: float = DEFAULT_TOL,
                      max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> TopKResult:
-    """Top k eigenpairs by magnitude, via repeated deflation.
+    """Top k eigenpairs by descending magnitude, from one LAPACK ``eig``.
 
-    Each stage power-iterates the deflated matrix while measuring residuals
-    against the original, so every returned pair satisfies the EigenPair
-    contract for the input matrix itself. Extraction stops early (truncated
-    result, no exception) when a stage finds no magnitude gap.
+    Every returned pair satisfies the EigenPair contract for m, with
+    residual at most ``tol``; ``max_iter`` and ``seed`` are accepted and
+    have no effect. Pairs are taken in order until the first one refused by
+    ``dominant_eigenpair``'s rule: a relative magnitude gap to the next
+    eigenvalue at or below TIE_GAP (1e-6), a unit left/right overlap below
+    MIN_OVERLAP (1e-8), or a residual above ``tol``. The result is then
+    ``truncated`` and holds only the pairs before it; no exception is
+    raised.
     """
-    a = _as_square(m)
-    if not 0 <= k <= a.shape[0]:
-        raise ValueError(f"k must be between 0 and {a.shape[0]}, got {k}")
-    rng = np.random.default_rng(seed)
-    pairs: list[EigenPair] = []
-    work = a
-    truncated = False
-    for _ in range(k):
-        try:
-            pair = _pair_from(work, a, tol, max_iter, rng)
-        except NoConvergence:
-            truncated = True
-            break
-        pairs.append(pair)
-        work = work - pair.value * np.outer(pair.right, pair.left.conj())
-    pairs.sort(key=lambda p: -abs(p.value))
-    return TopKResult(pairs=tuple(pairs), truncated=truncated)
+    pairs, refusal = _ranked_pairs(_as_square(m), k, tol)
+    return TopKResult(pairs=tuple(pairs), truncated=refusal is not None)

@@ -534,6 +534,25 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
     assert len(solves) == spectrum_solves
 
 
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", "oscillator"), ("compare", "oscillator"),
+    ("spectrum", "explicit"), ("purify", "explicit"),
+])
+def test_seed_does_not_change_output(tmp_path, capsys, command, config):
+    if config == "oscillator":
+        cfg = write(tmp_path, FIG1_CONFIG)
+    else:
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        save_matrix_file(str(tmp_path / "v.mat"), 1, 4, 0.9 * v / np.linalg.norm(v, ord=2))
+        cfg = write(tmp_path, '[model]\nkind = "explicit"\npropagator_file = "v.mat"\n'
+                    "n_steps = 12\n")
+    outputs = [run_cli(capsys, command, "--config", cfg, "--seed", seed)
+               for seed in ("0", "12345")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command, option", [
     ("spectrum", ["--steps", "3"]), ("purify", ["--jobs", "2"]),
 ])
@@ -602,16 +621,19 @@ def run_fresh(args, env_overrides=None):
     return proc.stdout
 
 
-@pytest.mark.parametrize("command", ["figure1", "zeno"])
+@pytest.mark.parametrize("command", ["figure1", "zeno", "spectrum", "compare"])
 def test_output_independent_of_blas_threads(tmp_path, command):
     argv = ["-m", "zenopure.cli", command]
     if command == "zeno":
         argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
+    elif command != "figure1":
+        argv += ["--config", write(tmp_path, FIG1_CONFIG), "--cutoff", "30"]
     outputs = {threads: run_fresh(argv, {"OPENBLAS_NUM_THREADS": threads})
                for threads in ("1", "2")}
     assert outputs["1"] == outputs["2"]
-    golden = "figure1.csv" if command == "figure1" else "zeno_scan.csv"
-    assert outputs["1"] == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    golden = {"figure1": "figure1.csv", "zeno": "zeno_scan.csv"}.get(command)
+    if golden is not None:
+        assert outputs["1"] == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
 def test_import_does_not_load_scipy():

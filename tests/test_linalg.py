@@ -5,6 +5,8 @@ polynomial coefficients from the Faddeev-LeVerrier recurrence, rooted with
 np.roots. The matrix exponential is checked against a plain Taylor series.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,15 @@ def taylor_exponential(m: np.ndarray, terms: int = 30) -> np.ndarray:
 def random_contraction(rng: np.random.Generator, dim: int) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return a * (rng.uniform(0.2, 1.0) / np.linalg.norm(a, ord=2))
+
+
+def planted_spectrum(rng: np.random.Generator, magnitudes) -> np.ndarray:
+    """S diag(values) S^-1 for a random complex S, where the values have the
+    given magnitudes and random phases."""
+    n = len(magnitudes)
+    s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    values = np.asarray(magnitudes) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return (s * values) @ np.linalg.inv(s)
 
 
 def test_charpoly_oracle_sanity():
@@ -289,6 +300,58 @@ def test_dominant_eigenpair_refuses_unitary_tie():
     u = np.diag([1.0, np.exp(1j * theta), np.exp(2j * theta)])
     with pytest.raises(NoConvergence):
         dominant_eigenpair(u, max_iter=2000)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_planted_magnitude_tie_refused_with_measured_gap(seed):
+    m = planted_spectrum(np.random.default_rng(seed),
+                         [0.8 * (1 + 1e-10), 0.8 * (1 - 1e-10), 0.5, 0.3, 0.1])
+    with pytest.raises(NoConvergence) as refusal:
+        dominant_eigenpair(m)
+    gap = float(re.search(r"relative gap (\S+)", str(refusal.value)).group(1))
+    assert abs(gap - 2e-10) <= 2e-12
+    found = top_k_eigenpairs(m, 3)
+    assert found.truncated and found.pairs == ()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_planted_close_pair_biorthonormal(seed):
+    # Two magnitudes 0.009 apart: a residual bound alone would allow cross
+    # terms <left_i|right_j> of about tol / 0.009.
+    magnitudes = [0.9, 0.891, 0.5, 0.3, 0.2, 0.1]
+    found = top_k_eigenpairs(planted_spectrum(np.random.default_rng(seed), magnitudes), 3)
+    assert not found.truncated
+    np.testing.assert_allclose([abs(p.value) for p in found.pairs], magnitudes[:3], atol=1e-12)
+    rights = np.array([p.right for p in found.pairs]).T
+    lefts = np.array([p.left for p in found.pairs]).T
+    assert np.abs(lefts.conj().T @ rights - np.eye(3)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_planted_gap_of_6e_4_resolved(seed):
+    magnitudes = [0.9, 0.9 * (1 - 6e-4), 0.4, 0.2]
+    found = top_k_eigenpairs(planted_spectrum(np.random.default_rng(seed), magnitudes), 3)
+    assert not found.truncated
+    np.testing.assert_allclose([abs(p.value) for p in found.pairs], magnitudes[:3], atol=1e-12)
+
+
+def test_near_defective_pair_refused_by_overlap():
+    # The relative gap, 1e-5, clears the tie threshold, but the left and
+    # right vectors of 0.8 overlap only about 8e-10.
+    m = np.array([[0.8, 1e4], [0.0, 0.8 * (1 - 1e-5)]])
+    with pytest.raises(NoConvergence, match=re.escape("|<v|u>|")):
+        dominant_eigenpair(m)
+    found = top_k_eigenpairs(m, 2)
+    assert found.truncated and found.pairs == ()
+
+
+def test_seed_and_max_iter_have_no_effect():
+    m = random_contraction(np.random.default_rng(8), 5)
+    pair = dominant_eigenpair(m)
+    other = dominant_eigenpair(m, max_iter=1, seed=12345)
+    assert other.value == pair.value
+    np.testing.assert_array_equal(other.right, pair.right)
+    np.testing.assert_array_equal(other.left, pair.left)
 
 
 def test_deflate_diagonal():
