@@ -11,139 +11,12 @@ oracle (oscillator), the experiment-file layer (config), and a CLI (cli,
 installed as ``zenopure``).
 """
 
-from .linalg import (
-    DimensionLimitExceeded,
-    EigenPair,
-    HermitianBlock,
-    HermitianEigenDecomposition,
-    NoConvergence,
-    NotHermitian,
-    TopKResult,
-    adjoint,
-    block_eigendecompose,
-    deflate,
-    dominant_eigenpair,
-    hermitian_eigendecompose,
-    tensor_product,
-    top_k_eigenpairs,
-    unitary_exponential,
-    unitary_from_blocks,
-)
-from .engine import (
-    BipartiteSystem,
-    ConditionsReport,
-    DensityMatrix,
-    ExtinctBranch,
-    ProbeContraction,
-    ProbeState,
-    ProjectedPropagator,
-    PurificationTrajectory,
-    TrajectoryStep,
-    ZenoScanPoint,
-    build_projected_propagator,
-    contract_probe,
-    evolve_step,
-    fidelity,
-    run_purification,
-    spectral_report,
-    survival_probability,
-    trace_distance,
-    zeno_limit_scan,
-)
-from .oscillator import (
-    ClosedFormCoefficients,
-    CutoffTooSmall,
-    DegenerateInterval,
-    OscillatorParams,
-    ThermalTrajectoryClosedForm,
-    ZeroFrequency,
-    build_hamiltonian,
-    closed_form_propagator,
-    closed_form_rho,
-    coefficients,
-    coherent_state,
-    destroy,
-    eigenvector_u_n,
-    factorized_propagator,
-    lambda_n,
-    thermal_state,
-    tuned_tau,
-)
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    emit_config,
-    load_config,
-    load_matrix_file,
-    parse_config,
-    save_matrix_file,
-)
+from .linalg import *
+from .engine import *
+from .oscillator import *
+from .config import *
+from . import config, engine, linalg, oscillator  # bound by the imports above
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # linalg
-    "DimensionLimitExceeded",
-    "EigenPair",
-    "HermitianBlock",
-    "HermitianEigenDecomposition",
-    "NoConvergence",
-    "NotHermitian",
-    "TopKResult",
-    "adjoint",
-    "block_eigendecompose",
-    "deflate",
-    "dominant_eigenpair",
-    "hermitian_eigendecompose",
-    "tensor_product",
-    "top_k_eigenpairs",
-    "unitary_exponential",
-    "unitary_from_blocks",
-    # engine
-    "BipartiteSystem",
-    "ConditionsReport",
-    "DensityMatrix",
-    "ExtinctBranch",
-    "ProbeContraction",
-    "ProbeState",
-    "ProjectedPropagator",
-    "PurificationTrajectory",
-    "TrajectoryStep",
-    "ZenoScanPoint",
-    "build_projected_propagator",
-    "contract_probe",
-    "evolve_step",
-    "fidelity",
-    "run_purification",
-    "spectral_report",
-    "survival_probability",
-    "trace_distance",
-    "zeno_limit_scan",
-    # oscillator
-    "ClosedFormCoefficients",
-    "CutoffTooSmall",
-    "DegenerateInterval",
-    "OscillatorParams",
-    "ThermalTrajectoryClosedForm",
-    "ZeroFrequency",
-    "build_hamiltonian",
-    "closed_form_propagator",
-    "closed_form_rho",
-    "coefficients",
-    "coherent_state",
-    "destroy",
-    "eigenvector_u_n",
-    "factorized_propagator",
-    "lambda_n",
-    "thermal_state",
-    "tuned_tau",
-    # config
-    "ConfigError",
-    "ExperimentConfig",
-    "emit_config",
-    "load_config",
-    "load_matrix_file",
-    "parse_config",
-    "save_matrix_file",
-]
+__all__ = ["__version__", *linalg.__all__, *engine.__all__, *oscillator.__all__, *config.__all__]

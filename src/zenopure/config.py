@@ -28,9 +28,6 @@ __all__ = [
     "save_matrix_file",
 ]
 
-KNOWN_OUTPUTS = ("spectrum", "purify", "compare", "zeno")
-
-
 class ConfigError(ValueError):
     """Configuration text or referenced model files are invalid."""
 
@@ -61,7 +58,6 @@ class ExperimentConfig:
     n_steps: int = 30
     total_time: float | None = None
     n_values: tuple[int, ...] | None = None
-    outputs: tuple[str, ...] = ()
     hamiltonian_file: str | None = None
     probe: tuple[complex, ...] | None = None
     propagator_file: str | None = None
@@ -112,9 +108,6 @@ class ExperimentConfig:
         if self.n_values is not None:
             if not self.n_values or any(n < 1 for n in self.n_values):
                 raise ConfigError("n_values must be a nonempty list of integers >= 1")
-        for name in self.outputs:
-            if name not in KNOWN_OUTPUTS:
-                raise ConfigError(f"unknown output table {name!r}")
 
 
 def _parse_scalar(text: str, where: str):
@@ -250,9 +243,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if len(probe_re) != len(probe_im):
             raise ConfigError("probe_re and probe_im differ in length")
         probe = tuple(complex(r, i) for r, i in zip(probe_re, probe_im))
-    outputs = _take(raw, "outputs", list, default=[])
-    if not all(isinstance(o, str) for o in outputs):
-        raise ConfigError("outputs must be a list of strings")
     cfg = ExperimentConfig(
         kind=kind,
         big_omega=_take(raw, "big_omega", (int, float), float),
@@ -268,7 +258,6 @@ def parse_config(text: str) -> ExperimentConfig:
         n_steps=_take(raw, "n_steps", int, default=30),
         total_time=_take(raw, "total_time", (int, float), float),
         n_values=_take_number_list(raw, "n_values", as_int=True),
-        outputs=tuple(outputs),
         hamiltonian_file=_take(raw, "hamiltonian_file", str),
         probe=probe,
         propagator_file=_take(raw, "propagator_file", str),
@@ -311,9 +300,6 @@ def emit_config(cfg: ExperimentConfig) -> str:
         put("total_time", cfg.total_time)
     if cfg.n_values is not None:
         lines.append(f"n_values = [{', '.join(str(n) for n in cfg.n_values)}]")
-    if cfg.outputs:
-        quoted = ", ".join(f'"{o}"' for o in cfg.outputs)
-        lines.append(f"outputs = [{quoted}]")
     if cfg.hamiltonian_file is not None:
         lines.append(f'hamiltonian_file = "{cfg.hamiltonian_file}"')
     if cfg.probe is not None:

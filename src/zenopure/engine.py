@@ -12,7 +12,6 @@ conditional trajectory, and certifies the two efficiency conditions
 
 from __future__ import annotations
 
-import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
@@ -66,28 +65,6 @@ class ExtinctBranch(RuntimeError):
         self.probability = float(probability)
 
 
-def _mapped_zeros(d: int) -> np.ndarray:
-    """A zero d x d complex matrix in an anonymous memory map of its own.
-
-    Freed, its pages go back to the system at once. A matrix of this size
-    on the process heap instead stays resident when freed, and small
-    allocations made later split it, so that the next one no longer fits
-    and the heap grows by another matrix: a process building one dense H
-    after another grew by 10-13 MB at cutoff 30, at unpredictable points.
-    On Unix the map is private to the process, and where the platform
-    offers it, it is populated when made, which costs far less than
-    faulting its pages in one by one; Windows maps anonymous memory
-    privately and takes no flags.
-    """
-    size = d * d * np.dtype(complex).itemsize
-    if hasattr(mmap, "MAP_ANONYMOUS"):
-        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-        buffer = mmap.mmap(-1, size, flags=flags)
-    else:
-        buffer = mmap.mmap(-1, size)
-    return np.frombuffer(buffer, dtype=complex).reshape(d, d)
-
-
 class BipartiteSystem:
     """Dimensions of the two factors plus the joint Hamiltonian, held as its
     coupled blocks.
@@ -110,8 +87,8 @@ class BipartiteSystem:
     decomposition. A one-block H is kept as given, not copied.
 
     ``hamiltonian`` is the dense H. Given to the constructor, it is that
-    matrix; a block-built system assembles it from its blocks, into a memory
-    map of its own, only when it is first read. Systems are immutable.
+    matrix; a block-built system assembles it from its blocks only when it
+    is first read. Systems are immutable.
     """
 
     def __init__(self, dim_a: int, dim_b: int, hamiltonian):
@@ -187,7 +164,7 @@ class BipartiteSystem:
     def hamiltonian(self) -> np.ndarray:
         """The dense D x D H, assembled from the blocks when first read."""
         d = self.dim_a * self.dim_b
-        h = _mapped_zeros(d)
+        h = np.zeros((d, d), dtype=complex)
         for idx, m in zip(self.block_indices, self.block_matrices):
             h[np.ix_(idx, idx)] = m
         return h

@@ -1,14 +1,14 @@
 """Complex linear algebra for contraction spectra.
 
-Tensor products, Hermitian eigendecomposition, unitary exponentials, and
-dominant-eigenpair extraction for the non-Hermitian contractions that
-repeated-measurement propagators produce. Arrays are dense complex128, but
-a Hermitian matrix is never diagonalized whole when it need not be: the
-connected components of its nonzero pattern are independent diagonal
-blocks, each eigendecomposed on its own, and exp(-iHt) is assembled from
-them block by block. A conserved quantity such as a total excitation
-number therefore turns one D x D problem into many small ones; a fully
-coupled matrix is a single block and is decomposed as it stands.
+Hermitian eigendecomposition, unitary exponentials, and dominant-eigenpair
+extraction for the non-Hermitian contractions that repeated-measurement
+propagators produce. Arrays are dense complex128, but a Hermitian matrix
+is never diagonalized whole when it need not be: the connected components
+of its nonzero pattern are independent diagonal blocks, each
+eigendecomposed on its own, and exp(-iHt) is assembled from them block by
+block. A conserved quantity such as a total excitation number therefore
+turns one D x D problem into many small ones; a fully coupled matrix is a
+single block and is decomposed as it stands.
 
 A matrix is checked once, block by block: its pattern is searched once
 (``_coupled_blocks``, from the dense matrix or from diagonal blocks it is
@@ -39,13 +39,10 @@ import numpy as np
 __all__ = [
     "NotHermitian",
     "NoConvergence",
-    "DimensionLimitExceeded",
     "HermitianEigenDecomposition",
     "HermitianBlock",
     "EigenPair",
     "TopKResult",
-    "tensor_product",
-    "adjoint",
     "hermitian_eigendecompose",
     "block_eigendecompose",
     "unitary_from_blocks",
@@ -54,10 +51,6 @@ __all__ = [
     "deflate",
     "top_k_eigenpairs",
 ]
-
-#: Largest matrix dimension tensor_product will produce. Anything bigger is
-#: outside the desk-scale regime this package is written for.
-MAX_TENSOR_DIM = 4096
 
 #: Default residual bound of the eigenpair routines. DEFAULT_MAX_ITER is
 #: kept in their signatures and has no effect.
@@ -96,23 +89,14 @@ class NoConvergence(RuntimeError):
         self.residual = float(residual)
 
 
-class DimensionLimitExceeded(ValueError):
-    """Requested operation would exceed the configured size ceiling."""
-
-
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+        raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    a = _as_matrix(m, name)
+        raise ValueError("matrix contains non-finite entries")
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     return a
 
 
@@ -168,26 +152,6 @@ class TopKResult:
 
     pairs: tuple[EigenPair, ...]
     truncated: bool
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the left factor major in the composite index.
-
-    Entry ((i*rb + k), (j*cb + l)) equals a[i, j] * b[k, l], so basis order
-    is (left index, right index) throughout the package.
-    """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[0] * b.shape[0] > MAX_TENSOR_DIM or a.shape[1] * b.shape[1] > MAX_TENSOR_DIM:
-        raise DimensionLimitExceeded(
-            f"tensor product of shapes {a.shape} x {b.shape} exceeds {MAX_TENSOR_DIM}"
-        )
-    return np.kron(a, b)
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(m).conj().T.copy()
 
 
 def _check_hermitian(dev: float, scale: float, tol: float = 1e-9) -> None:

@@ -245,6 +245,18 @@ def lambda_n(c: ClosedFormCoefficients, n: int) -> complex:
     return complex(c.lambda0 * c.exp_c ** n)
 
 
+def _eigenvector_generator(c: ClosedFormCoefficients, cutoff: int) -> np.ndarray | None:
+    """The generator of the eigenvector map U = exp[r (alpha* b + alpha b†)],
+    r = A/(1 - e^{-C}) and alpha = alpha_tilde / r, on the truncated Fock
+    space, or None when r = 0 and U is the identity."""
+    r = c.a_coef / (1.0 - c.exp_neg_c)
+    if r == 0:
+        return None
+    alpha = c.alpha_tilde / r
+    b = destroy(cutoff)
+    return r * (np.conj(alpha) * b + alpha * b.conj().T)
+
+
 def eigenvector_u_n(c: ClosedFormCoefficients, n: int, cutoff: int) -> np.ndarray:
     """n-th right eigenvector in the truncated Fock basis, unit-normalized.
 
@@ -255,16 +267,13 @@ def eigenvector_u_n(c: ClosedFormCoefficients, n: int, cutoff: int) -> np.ndarra
     """
     if not 0 <= n < cutoff:
         raise ValueError(f"need 0 <= n < cutoff, got n={n}, cutoff={cutoff}")
-    r = c.a_coef / (1.0 - c.exp_neg_c)
-    if r == 0:
+    gen = _eigenvector_generator(c, cutoff)
+    if gen is None:
         vec = np.zeros(cutoff, dtype=complex)
         vec[n] = 1.0
         return vec
     from scipy.linalg import expm
 
-    alpha = c.alpha_tilde / r
-    b = destroy(cutoff)
-    gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
     vec = expm(gen)[:, n]
     vec = vec / np.linalg.norm(vec)
     if abs(vec[-1]) ** 2 > 1e-8:
@@ -404,14 +413,11 @@ def closed_form_propagator(p: OscillatorParams) -> np.ndarray:
     c = coefficients(p)
     nb = p.n_max_b
     powers = c.exp_c ** np.arange(nb)
-    r = c.a_coef / (1.0 - c.exp_neg_c)
-    if r == 0:
+    gen = _eigenvector_generator(c, nb)
+    if gen is None:
         return np.diag(c.lambda0 * powers)
     from scipy.linalg import expm
 
-    alpha = c.alpha_tilde / r
-    b = destroy(nb)
-    gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
     u = expm(gen)
     u_inv = expm(-gen)
     return c.lambda0 * (u * powers) @ u_inv

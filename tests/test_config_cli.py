@@ -104,7 +104,7 @@ def test_round_trip_hand_cases():
         ExperimentConfig(
             kind="oscillator", big_omega=1.25, omega=0.75, g=0.3,
             alpha=0.1 - 0.7j, beta=2.0, tau=0.9, n_max_a=12, n_max_b=17,
-            n_steps=5, outputs=("spectrum", "purify"),
+            n_steps=5,
         ),
         ExperimentConfig(
             kind="explicit", hamiltonian_file="h.mat",
@@ -135,10 +135,6 @@ def oscillator_configs(draw):
         n_max_a=draw(st.integers(1, 200)),
         n_max_b=draw(st.integers(1, 200)),
         n_steps=draw(st.integers(1, 500)),
-        outputs=tuple(draw(st.lists(
-            st.sampled_from(("spectrum", "purify", "compare", "zeno")),
-            unique=True, max_size=4,
-        ))),
     )
     if tuned:
         kwargs["tuned_m"] = draw(st.integers(1, 9))
@@ -201,8 +197,7 @@ BAD_CONFIGS = [
     "probe_re = [1, 0]\nprobe_im = [0]\n",  # length mismatch
     "[model]\nkind = \"explicit\"\nhamiltonian_file = \"h.mat\"\ntau = 1\n"
     "probe_re = [1, \"x\"]\n",  # non-numeric probe entry
-    FIG1_CONFIG + "outputs = [1]\n",  # outputs must be strings
-    FIG1_CONFIG + 'outputs = ["mystery"]\n',  # unknown output table
+    FIG1_CONFIG + 'outputs = ["spectrum"]\n',  # unknown key, a removed one
     FIG1_CONFIG + "n_values = []\n",  # empty scan list
     FIG1_CONFIG + "n_values = [0, 2]\n",  # scan point below 1
     FIG1_CONFIG + "n_values = [1.5]\n",  # scan points must be integers
@@ -495,6 +490,9 @@ def test_bad_and_missing_config_exit_one(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run_cli(capsys, "spectrum", "--config", str(tmp_path / "no.cfg"))
     assert code == 1 and err.startswith("error:")
+    cfg = write(tmp_path, FIG1_CONFIG + 'outputs = ["spectrum"]\n')
+    code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+    assert (code, out, err) == (1, "", "error: unknown keys in [model]: ['outputs']\n")
 
 
 def count_calls(monkeypatch, name):
@@ -571,10 +569,11 @@ def test_commands_form_no_dense_hamiltonian(tmp_path, capsys, monkeypatch, comma
     # The oscillator H is built from its excitation blocks; a dense D x D H
     # exists only once BipartiteSystem.hamiltonian is read, which no command
     # does. At cutoff 12 compare reports its truncation breach (exit code 3).
-    def no_dense(d):
+    def no_dense(system):
+        d = system.dim_a * system.dim_b
         raise AssertionError(f"a dense {d}x{d} H was formed")
 
-    monkeypatch.setattr(engine, "_mapped_zeros", no_dense)
+    monkeypatch.setattr(engine.BipartiteSystem, "hamiltonian", property(no_dense))
     argv = [command, "--cutoff", "12"]
     if command != "figure1":
         argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
@@ -637,8 +636,22 @@ def test_output_independent_of_blas_threads(tmp_path, command):
 
 
 def test_import_does_not_load_scipy():
-    out = run_fresh(["-c", "import sys, zenopure; print('scipy' in sys.modules)"])
-    assert out.strip() == "False"
+    for statement in ("import zenopure", "from zenopure import *"):
+        out = run_fresh(["-c", f"import sys; {statement}; print('scipy' in sys.modules)"])
+        assert out.strip() == "False", statement
+
+
+def test_package_exports_each_module_all():
+    # Each public name is declared once, in its module's __all__; the
+    # package re-exports those lists in import order, as the same objects.
+    modules = [zenopure.linalg, zenopure.engine, zenopure.oscillator, zenopure.config]
+    assert zenopure.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert len(set(zenopure.__all__)) == len(zenopure.__all__)
+    for module in modules:
+        for name in module.__all__:
+            obj = vars(module)[name]
+            assert obj.__module__ == module.__name__, name
+            assert getattr(zenopure, name) is obj
 
 
 def test_tol_override(tmp_path, capsys, monkeypatch):

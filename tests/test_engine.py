@@ -21,7 +21,7 @@ from zenopure.engine import (
     trace_distance,
     zeno_limit_scan,
 )
-from zenopure.linalg import tensor_product, top_k_eigenpairs, unitary_exponential
+from zenopure.linalg import top_k_eigenpairs, unitary_exponential
 from zenopure.oscillator import (
     OscillatorParams,
     build_hamiltonian,
@@ -278,7 +278,7 @@ def test_propagator_decoupled_hamiltonian():
     ha = np.diag([0.7, 1.9])
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     hb = (b + b.conj().T) / 2
-    h = tensor_product(ha, np.eye(3)) + tensor_product(np.eye(2), hb)
+    h = np.kron(ha, np.eye(3)) + np.kron(np.eye(2), hb)
     sys_ = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=h)
     tau = 1.3
     v = build_projected_propagator(sys_, ProbeState(np.array([1.0, 0.0])), tau)
@@ -574,7 +574,7 @@ def test_zeno_scan_single_point_matches_survival():
 def test_zeno_scan_decoupled_hamiltonian():
     ha = np.diag([0.7, 1.9])
     hb = np.diag([0.0, 1.0, 2.0])
-    h = tensor_product(ha, np.eye(3)) + tensor_product(np.eye(2), hb)
+    h = np.kron(ha, np.eye(3)) + np.kron(np.eye(2), hb)
     sys_ = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=h)
     phi = ProbeState(np.array([1.0, 0.0]))
     rho0 = DensityMatrix(np.eye(3) / 3)

@@ -12,15 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenopure.linalg import (
-    DimensionLimitExceeded,
     NoConvergence,
     NotHermitian,
-    adjoint,
     block_eigendecompose,
     deflate,
     dominant_eigenpair,
     hermitian_eigendecompose,
-    tensor_product,
     top_k_eigenpairs,
     unitary_exponential,
 )
@@ -72,53 +69,6 @@ def test_charpoly_oracle_sanity():
     # diag(3, 2): p(x) = x^2 - 5x + 6
     coeffs = characteristic_polynomial(np.diag([3.0, 2.0]).astype(complex))
     np.testing.assert_allclose(coeffs, [1, -5, 6], atol=1e-12)
-
-
-def test_tensor_product_identities():
-    np.testing.assert_array_equal(tensor_product(np.eye(2), np.eye(3)), np.eye(6))
-
-    ladder = np.array([[0, 1], [0, 0]], dtype=complex)
-    out = tensor_product(ladder, np.eye(2))
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 2] = expected[1, 3] = 1.0
-    np.testing.assert_array_equal(out, expected)
-
-
-def test_tensor_product_number_operator_sum():
-    num_a = np.diag([0.0, 1.0, 2.0])
-    num_b = np.diag([0.0, 1.0])
-    total = tensor_product(num_a, np.eye(2)) + tensor_product(np.eye(3), num_b)
-    np.testing.assert_array_equal(
-        np.diag(tensor_product(num_a, np.eye(2))), [0, 0, 1, 1, 2, 2]
-    )
-    brute = sorted(i + k for i in range(3) for k in range(2))
-    np.testing.assert_allclose(sorted(np.diag(total).real), brute, atol=1e-15)
-
-
-def test_tensor_product_dimension_limit():
-    with pytest.raises(DimensionLimitExceeded):
-        tensor_product(np.eye(100), np.eye(100))
-
-
-def test_adjoint():
-    np.testing.assert_array_equal(adjoint(np.array([[1j]])), np.array([[-1j]]))
-
-    herm = np.array([[1.0, 2 + 1j], [2 - 1j, -3.0]])
-    np.testing.assert_array_equal(adjoint(herm), herm)
-
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert abs(np.vdot(x, m @ y) - np.vdot(adjoint(m) @ x, y)) < 1e-12
-
-
-@given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_adjoint_involution(seed, dim):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    np.testing.assert_array_equal(adjoint(adjoint(m)), m)
 
 
 def test_hermitian_eigendecompose_diagonal():

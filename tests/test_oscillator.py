@@ -1,6 +1,5 @@
 """Tests for the exactly solvable two-oscillator closed forms."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,21 +264,6 @@ def test_block_built_system_matches_dense_route(n_max_a, n_max_b, g, detuning, s
     np.testing.assert_array_equal(build_projected_propagator(built, probe, tau).matrix,
                                   build_projected_propagator(dense, probe, tau).matrix)
     np.testing.assert_array_equal(built.hamiltonian, dense.hamiltonian)
-
-
-def test_hamiltonian_kept_off_the_heap():
-    # H sits in a memory map of its own, so numpy's traced heap never holds
-    # a matrix of its size (13 MB at cutoff 30), and it is an ordinary
-    # writeable array.
-    tracemalloc.start()
-    try:
-        h = build_hamiltonian(REFERENCE).hamiltonian
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < h.nbytes / 4
-    assert h.flags.writeable and h.flags.c_contiguous and h.dtype == complex
-    np.testing.assert_array_equal(h, kron_hamiltonian(REFERENCE))
 
 
 def test_hamiltonian_excitation_blocks():
