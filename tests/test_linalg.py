@@ -71,6 +71,27 @@ def test_charpoly_oracle_sanity():
     np.testing.assert_allclose(coeffs, [1, -5, 6], atol=1e-12)
 
 
+@pytest.mark.parametrize("entry", [
+    hermitian_eigendecompose,
+    block_eigendecompose,
+    lambda m: unitary_exponential(m, 1.0),
+    dominant_eigenpair,
+    lambda m: deflate(m, dominant_eigenpair(np.diag([0.9, 0.5]))),
+    lambda m: top_k_eigenpairs(m, 1),
+], ids=["hermitian", "blocks", "unitary", "dominant", "deflate", "top_k"])
+def test_matrix_refusals_name_the_fault(entry):
+    # Every public entry point takes its matrix through one shape and
+    # finiteness check, with the same three messages.
+    cases = [
+        (np.ones(3), "matrix must be 2-dimensional, got shape (3,)"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "matrix contains non-finite entries"),
+        (np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            entry(bad)
+
+
 def test_hermitian_eigendecompose_diagonal():
     eig = hermitian_eigendecompose(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(eig.eigenvalues, [1, 2, 3], atol=1e-14)

@@ -266,6 +266,17 @@ def test_block_built_system_matches_dense_route(n_max_a, n_max_b, g, detuning, s
     np.testing.assert_array_equal(built.hamiltonian, dense.hamiltonian)
 
 
+def test_hamiltonian_assembled_as_ordinary_array():
+    # A block-built H, once read, is a plain writeable complex array equal to
+    # the Kronecker construction, and later reads return that same array.
+    system = build_hamiltonian(REFERENCE)
+    h = system.hamiltonian
+    assert type(h) is np.ndarray and h.base is None
+    assert h.flags.writeable and h.flags.c_contiguous and h.dtype == complex
+    assert system.hamiltonian is h
+    np.testing.assert_array_equal(h, kron_hamiltonian(REFERENCE))
+
+
 def test_hamiltonian_excitation_blocks():
     # n_a + n_b is conserved: 59 blocks at cutoff 30, the largest (n = 29)
     # holding 30 states, each block of one total excitation number.
@@ -388,6 +399,20 @@ def test_closed_form_propagator_decoupled_diagonal():
     phi = ProbeState(coherent_state(p.alpha, p.n_max_a))
     v = build_projected_propagator(sys_, phi, p.tau)
     np.testing.assert_allclose(v.matrix, w, atol=1e-8)
+
+
+def test_closed_form_propagator_has_the_closed_form_eigenpairs():
+    # closed_form_propagator and eigenvector_u_n build the same eigenvector
+    # map, so W u_n = lambda_n u_n holds away from the Fock cutoff. A complex
+    # alpha tells alpha from its conjugate in the map's generator.
+    p = OscillatorParams(1.0, 1.0, 0.2, 0.5 - 0.3j, beta=1.0, tau=2.3,
+                         n_max_a=30, n_max_b=30)
+    c = coefficients(p)
+    w = closed_form_propagator(p)
+    for n in range(4):
+        u = eigenvector_u_n(c, n, p.n_max_b)
+        lam = lambda_n(c, n)
+        assert np.linalg.norm(w @ u - lam * u) / abs(lam) <= 1e-8
 
 
 def test_factorized_propagator_zero_time():
