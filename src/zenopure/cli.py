@@ -432,14 +432,17 @@ def cmd_zeno(args) -> int:
             model.phi = _oscillator_probe(model.params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    points = engine.zeno_limit_scan(
-        model.system,
-        model.phi,
-        model.rho0,
-        cfg.total_time,
-        cfg.n_values,
-        jobs=args.jobs,
-    )
+    try:
+        points = engine.zeno_limit_scan(
+            model.system,
+            model.phi,
+            model.rho0,
+            cfg.total_time,
+            cfg.n_values,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     lines = ["n,tau,yield,unitarity_defect"]
     for p in points:
         lines.append(

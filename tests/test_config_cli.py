@@ -248,6 +248,147 @@ def test_matrix_file_errors(tmp_path):
         save_matrix_file(str(tmp_path / "shape.mat"), 2, 3, np.eye(4))
 
 
+NOT_NUMERIC = "is not numeric: could not convert string to float: "
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n", "lacks the dimension header"),
+    ("", "lacks the dimension header"),
+    ("2.5 1\n0 0\n", "is not numeric: invalid literal for int() with base 10: '2.5'"),
+    ("1 1\n0 x\n", NOT_NUMERIC + "'x'"),
+    ("1 1\n0 0x10\n", NOT_NUMERIC + "'0x10'"),
+    ("1 1\n0 nan(1)\n", NOT_NUMERIC + "'nan(1)'"),
+    ("1 1\n0 1,5\n", NOT_NUMERIC + "'1,5'"),
+    ("1 1\n0 1-2\n", NOT_NUMERIC + "'1-2'"),
+    ("1 1\n \t \n", "holds 0 numbers, expected 2"),
+    ("0 2 x\n", NOT_NUMERIC + "'x'"),
+    ("0 2\n" + "0 " * 8, "has nonpositive dimensions"),
+    ("1 2 0.0 0.0 1.0\n", "holds 3 numbers, expected 8"),
+], ids=["header_only", "empty", "fractional_header", "letter", "hex", "nan_payload",
+        "comma", "inner_minus", "blank_body", "zero_dims_and_letter", "zero_dims",
+        "wrong_count"])
+def test_matrix_file_refusals_word_for_word(tmp_path, text, message):
+    path = tmp_path / "m.mat"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_matrix_file(str(path))
+    assert str(caught.value) == f"matrix file {str(path)!r} {message}"
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("1_0 -0.0", [10.0, -0.0]),
+    ("1\xa02", [1.0, 2.0]),
+    ("١ 2.5", [1.0, 2.5]),
+    ("inf -nan", [np.inf, np.nan]),
+], ids=["underscore", "nbsp_separator", "arabic_indic_digit", "non_finite"])
+def test_matrix_file_accepts_what_float_accepts(tmp_path, body, expected):
+    path = tmp_path / "m.mat"
+    path.write_text("1 1 " + body + "\n", encoding="utf-8")
+    dim_a, dim_b, matrix = load_matrix_file(str(path))
+    assert (dim_a, dim_b) == (1, 1)
+    np.testing.assert_array_equal(matrix, [[expected[0] + 1j * expected[1]]])
+
+
+def reference_load_matrix_file(path):
+    """load_matrix_file as a token loop: one str and one float per entry."""
+    with open(path, "r", encoding="utf-8") as fh:
+        tokens = fh.read().split()
+    if len(tokens) < 2:
+        raise ConfigError(f"matrix file {path!r} lacks the dimension header")
+    try:
+        dim_a, dim_b = int(tokens[0]), int(tokens[1])
+        values = np.array([float(t) for t in tokens[2:]], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"matrix file {path!r} is not numeric: {exc}") from exc
+    if dim_a < 1 or dim_b < 1:
+        raise ConfigError(f"matrix file {path!r} has nonpositive dimensions")
+    d = dim_a * dim_b
+    if values.size != 2 * d * d:
+        raise ConfigError(
+            f"matrix file {path!r} holds {values.size} numbers, expected {2 * d * d}"
+        )
+    pairs = values.reshape(d * d, 2)
+    return dim_a, dim_b, (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
+
+
+FINITE_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0.0", "-0.0", "5e-324", "1.7976931348623157e308",
+                     "-1.7976931348623157e308"]),
+)
+ODD_TOKENS = st.sampled_from(
+    ["inf", "-nan", "1_0", "0x10", "nan(1)", "1,5", "1-2", ".", "١"]
+)
+SEPARATORS = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\r\n", "\xa0", "\x0b"]), min_size=1, max_size=3
+).map("".join)
+
+
+@st.composite
+def matrix_texts(draw):
+    dim_a, dim_b = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    d = dim_a * dim_b
+    count = max(0, 2 * d * d + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    tokens = draw(st.lists(FINITE_TOKENS, min_size=count, max_size=count))
+    for at, odd in draw(st.lists(st.tuples(st.integers(0, count), ODD_TOKENS), max_size=2)):
+        tokens.insert(at, odd)
+    header_break = draw(st.one_of(st.just("\n"), SEPARATORS))
+    text = f"{dim_a} {dim_b}" + header_break
+    text += "".join(token + draw(SEPARATORS) for token in tokens)
+    if draw(st.booleans()):
+        text = text.rstrip(" \t\n\r\xa0\x0b")
+    return text
+
+
+def load_outcome(loader, path):
+    try:
+        dim_a, dim_b, matrix = loader(path)
+    except ConfigError as exc:
+        return "refused", str(exc)
+    return dim_a, dim_b, matrix.shape, matrix.view(np.int64).tolist()
+
+
+@given(text=matrix_texts())
+@settings(max_examples=300, deadline=None)
+def test_matrix_file_parse_matches_token_loop(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("matrix") / "m.mat")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    assert load_outcome(load_matrix_file, path) == load_outcome(
+        reference_load_matrix_file, path
+    )
+
+
+def test_matrix_file_load_heap_stays_near_file_size(tmp_path):
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((120, 120)) + 1j * rng.standard_normal((120, 120))
+    path = tmp_path / "big.mat"
+    save_matrix_file(str(path), 4, 30, m)
+    size = path.stat().st_size
+    assert size >= 500_000
+    tracemalloc.start()
+    try:
+        _, _, loaded = load_matrix_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded, m)
+    assert peak <= 3 * size
+
+
+def test_non_finite_matrix_entry_refused_by_cli(tmp_path, capsys):
+    cfg = decoupled_hamiltonian_config(tmp_path)
+    path = tmp_path / "ham.mat"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = "nan " + lines[2].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert np.isnan(load_matrix_file(str(path))[2][1, 0].real)
+    code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+    assert (code, out, err) == (1, "", "error: hamiltonian contains non-finite entries\n")
+
+
 # ------------------------------------------------------------------ CLI
 
 
@@ -470,6 +611,22 @@ def test_zeno_rejects_fixed_propagator(tmp_path, capsys):
     assert "Hamiltonian" in err
 
 
+@pytest.mark.parametrize("total_time", ["nan", "inf"])
+@pytest.mark.parametrize("model", ["oscillator", "explicit"])
+def test_zeno_non_finite_total_time_exits_one(tmp_path, model, total_time):
+    if model == "oscillator":
+        cfg = write(tmp_path, FIG1_CONFIG + f"total_time = {total_time}\nn_values = [1, 2]\n")
+        argv = ["zeno", "--config", cfg, "--cutoff", "14"]
+    else:
+        text = pathlib.Path(decoupled_hamiltonian_config(tmp_path)).read_text(encoding="utf-8")
+        cfg = write(tmp_path, text.replace("total_time = 3.0", f"total_time = {total_time}"))
+        argv = ["zeno", "--config", cfg]
+    proc = fresh_process(["-m", "zenopure.cli", *argv])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: propagator contains non-finite entries\n")
+
+
 def test_probe_dimension_mismatch(tmp_path, capsys):
     ha = np.diag([0.7, 1.9])
     h = np.kron(ha, np.eye(3)) + np.kron(np.eye(2), np.diag([0.0, 1.0, 2.0]))
@@ -610,13 +767,18 @@ def test_golden_zeno_scan(tmp_path, capsys):
     assert out == golden
 
 
-def run_fresh(args, env_overrides=None):
+def fresh_process(args, env_overrides=None):
     """Run Python in a fresh interpreter that imports this checkout's zenopure."""
     env = dict(os.environ, **(env_overrides or {}))
     src = str(pathlib.Path(zenopure.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def run_fresh(args, env_overrides=None):
+    proc = fresh_process(args, env_overrides)
+    proc.check_returncode()
     return proc.stdout
 
 
