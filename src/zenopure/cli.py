@@ -10,7 +10,8 @@ figure1    purify with the reference oscillator parameter set baked in
            (big_omega = omega = 1, g = 0.2, alpha = 0.5, beta = 1,
            tau tuned to the plus normal mode)
 
-Exit codes: 0 success, 1 configuration error, 2 degenerate spectrum,
+Exit codes: 0 success, 1 refused input (the config, a model file, or a
+value the model refuses, named in the message), 2 degenerate spectrum,
 3 cross-check tolerance breach. The environment variable ZENOPURE_TOL
 (a positive float) overrides the spectrum epsilon and every compare
 tolerance at once. All numeric output uses 17 significant digits so runs
@@ -76,7 +77,7 @@ def _tol_override() -> float | None:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Model:
     cfg: ExperimentConfig
     params: osc.OscillatorParams | None = None
@@ -108,75 +109,71 @@ def _resolve_params(cfg: ExperimentConfig, cutoff: int | None) -> osc.Oscillator
 def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> _Model:
     """Assemble system, initial state and (for explicit models) the probe.
 
-    The oscillator probe stays unbuilt here: commands construct it when
-    needed so truncation refusals surface with command-appropriate exit
-    codes.
+    The oscillator probe stays unbuilt here and ``_probe`` builds it on use.
+    Only compare needs that: it reports a cutoff too small for the probe as
+    a refused check (exit code 3), where the other commands refuse the input.
     """
-    try:
-        if cfg.kind == "oscillator":
-            params = _resolve_params(cfg, cutoff)
-            return _Model(
-                cfg=cfg,
-                params=params,
-                system=osc.build_hamiltonian(params),
-                rho0=osc.thermal_state(params.beta, params.omega, params.n_max_b),
-                tau=params.tau,
-            )
-        if cfg.hamiltonian_file is not None:
-            path = os.path.join(config_dir, cfg.hamiltonian_file)
-            dim_a, dim_b, matrix = load_matrix_file(path)
-            system = engine.BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=matrix)
-            probe = np.array(cfg.probe, dtype=complex)
-            if probe.shape[0] != dim_a:
-                raise ConfigError(
-                    f"probe has {probe.shape[0]} amplitudes, Hamiltonian declares dim_a = {dim_a}"
-                )
-            return _Model(
-                cfg=cfg,
-                system=system,
-                phi=engine.ProbeState(probe),
-                rho0=_maximally_mixed(dim_b),
-                tau=cfg.tau,
-            )
-        path = os.path.join(config_dir, cfg.propagator_file)
+    if cfg.kind == "oscillator":
+        params = _resolve_params(cfg, cutoff)
+        return _Model(
+            cfg=cfg,
+            params=params,
+            system=osc.build_hamiltonian(params),
+            rho0=osc.thermal_state(params.beta, params.omega, params.n_max_b),
+            tau=params.tau,
+        )
+    if cfg.hamiltonian_file is not None:
+        path = os.path.join(config_dir, cfg.hamiltonian_file)
         dim_a, dim_b, matrix = load_matrix_file(path)
-        if dim_a != 1:
-            raise ConfigError("a propagator file must declare dim_a = 1")
-        fixed = engine.ProjectedPropagator(matrix=matrix, tau=cfg.tau if cfg.tau else 0.0)
-        return _Model(cfg=cfg, fixed_v=fixed, rho0=_maximally_mixed(dim_b), tau=fixed.tau)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        system = engine.BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=matrix)
+        probe = np.array(cfg.probe, dtype=complex)
+        if probe.shape[0] != dim_a:
+            raise ConfigError(
+                f"probe has {probe.shape[0]} amplitudes, Hamiltonian declares dim_a = {dim_a}"
+            )
+        return _Model(
+            cfg=cfg,
+            system=system,
+            phi=engine.ProbeState(probe),
+            rho0=_maximally_mixed(dim_b),
+            tau=cfg.tau,
+        )
+    path = os.path.join(config_dir, cfg.propagator_file)
+    dim_a, dim_b, matrix = load_matrix_file(path)
+    if dim_a != 1:
+        raise ConfigError("a propagator file must declare dim_a = 1")
+    fixed = engine.ProjectedPropagator(matrix=matrix, tau=cfg.tau if cfg.tau else 0.0)
+    return _Model(cfg=cfg, fixed_v=fixed, rho0=_maximally_mixed(dim_b), tau=fixed.tau)
 
 
 def _maximally_mixed(dim: int) -> engine.DensityMatrix:
     return engine.DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-def _oscillator_probe(params: osc.OscillatorParams) -> engine.ProbeState:
-    return engine.ProbeState(osc.coherent_state(params.alpha, params.n_max_a))
+def _probe(model: _Model) -> engine.ProbeState:
+    if model.phi is not None:
+        return model.phi
+    return engine.ProbeState(osc.coherent_state(model.params.alpha, model.params.n_max_a))
 
 
 def _propagator(model: _Model) -> engine.ProjectedPropagator:
     if model.fixed_v is not None:
         return model.fixed_v
-    if model.phi is None:
-        model.phi = _oscillator_probe(model.params)
-    return engine.build_projected_propagator(model.system, model.phi, model.tau)
+    return engine.build_projected_propagator(model.system, _probe(model), model.tau)
 
 
 def _target_vector(model: _Model, v: engine.ProjectedPropagator):
     """Fidelity/distance target: closed-form coherent state when available,
-    otherwise the computed dominant eigenvector, otherwise None."""
+    otherwise the computed dominant eigenvector, otherwise None. Also returns
+    the solve of V, if one was made, so that the trajectory does not repeat it."""
     if model.params is not None:
         try:
             coeffs = osc.coefficients(model.params)
         except osc.DegenerateInterval:
-            return None
-        return osc.coherent_state(coeffs.alpha_tilde, model.params.n_max_b)
+            return None, None
+        return osc.coherent_state(coeffs.alpha_tilde, model.params.n_max_b), None
     found = top_k_eigenpairs(v.matrix, 1)
-    return found.pairs[0].right if found.pairs else None
+    return (found.pairs[0].right if found.pairs else None), found
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -196,10 +193,7 @@ def cmd_spectrum(args) -> int:
     cfg, config_dir = _load_for(args)
     model = _build_model(cfg, config_dir, args.cutoff)
     epsilon = _tol_override() or DEFAULT_EPSILON
-    try:
-        v = _propagator(model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    v = _propagator(model)
     # One solve of V's spectrum serves the report and the closed-form table,
     # which needs five pairs; without the table two suffice.
     coeffs = unavailable = None
@@ -249,12 +243,9 @@ def _closed_form_lines(coeffs, found) -> list[str]:
 
 
 def _trajectory_csv(model: _Model, steps: int) -> str:
-    try:
-        v = _propagator(model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    target = _target_vector(model, v)
-    trajectory = engine.run_purification(model.rho0, v, steps, target=target)
+    v = _propagator(model)
+    target, found = _target_vector(model, v)
+    trajectory = engine.run_purification(model.rho0, v, steps, target=target, eigenpairs=found)
     target_dm = None
     if target is not None:
         target_dm = engine.DensityMatrix(np.outer(target, target.conj()))
@@ -349,8 +340,7 @@ def cmd_compare(args) -> int:
 
     v_eng = None
     try:
-        phi = _oscillator_probe(params)
-        v_eng = engine.contract_probe(model.system, phi).propagator(params.tau)
+        v_eng = engine.contract_probe(model.system, _probe(model)).propagator(params.tau)
     except osc.CutoffTooSmall as exc:
         check("propagator_block_max_dev", "propagator_block", None, str(exc))
     if v_eng is not None:
@@ -427,22 +417,8 @@ def cmd_zeno(args) -> int:
     model = _build_model(cfg, config_dir, args.cutoff)
     if model.system is None:
         raise ConfigError("zeno requires a Hamiltonian model, not a fixed propagator")
-    try:
-        if model.phi is None:
-            model.phi = _oscillator_probe(model.params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
-        points = engine.zeno_limit_scan(
-            model.system,
-            model.phi,
-            model.rho0,
-            cfg.total_time,
-            cfg.n_values,
-            jobs=args.jobs,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    points = engine.zeno_limit_scan(model.system, _probe(model), model.rho0,
+                                    cfg.total_time, cfg.n_values, jobs=args.jobs)
     lines = ["n,tau,yield,unitarity_defect"]
     for p in points:
         lines.append(
@@ -468,7 +444,8 @@ def _add_options(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--out", default=None, help="write output to this file")
     if command == "zeno":
         sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers for independent scan points")
+                         help="parallel workers for independent scan points; "
+                              "values below 2 run the scan serially")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -492,12 +469,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Every refusal the package raises is a ValueError; this reports each once.
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

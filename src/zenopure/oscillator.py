@@ -68,6 +68,13 @@ class ZeroFrequency(ValueError):
     """Requested resonance frequency vanishes; no finite tuned interval."""
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or nan when a part of z is nan. CPython's complex abs returns
+    nan there without clearing errno, so a stale ERANGE from an earlier C
+    call would make it raise OverflowError instead."""
+    return np.nan if np.isnan(z) else abs(z)
+
+
 @dataclass(frozen=True)
 class OscillatorParams:
     """Model parameters plus Fock truncation dimensions.
@@ -94,7 +101,7 @@ class OscillatorParams:
             raise ValueError("beta must be positive")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        floor = 4 * (1 + abs(self.alpha) ** 2) if self.alpha != 0 else 1
+        floor = 4 * (1 + _modulus(self.alpha) ** 2) if self.alpha != 0 else 1
         for name, n in (("n_max_a", self.n_max_a), ("n_max_b", self.n_max_b)):
             if n < 1:
                 raise ValueError(f"{name} must be positive")
@@ -167,14 +174,17 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     """Evaluate the closed-form coefficient set at the given interval.
 
     Raises DegenerateInterval when delta*tau sits within 1e-9 of a multiple
-    of pi (including tau = 0), where A vanishes and purification fails. The
-    dominant eigenvalue is computed through two algebraically independent
-    routes and cross-checked to 1e-9; |e^C| likewise comes out of two
-    formulas checked against each other to 1e-12.
+    of pi (including tau = 0), where A vanishes and purification fails, and
+    a plain ValueError when delta*tau is not finite. The dominant eigenvalue
+    is computed through two algebraically independent routes and
+    cross-checked to 1e-9; |e^C| likewise comes out of two formulas checked
+    against each other to 1e-12.
     """
     d_om = p.big_omega - p.omega
     delta = float(np.sqrt(p.g ** 2 + d_om ** 2 / 4))
     dtau = delta * p.tau
+    if not np.isfinite(dtau):
+        raise ValueError(f"delta*tau = {dtau!r} is not finite")
     nearest = round(dtau / np.pi)
     if abs(dtau - nearest * np.pi) <= 1e-9:
         raise DegenerateInterval(
@@ -196,7 +206,7 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     # tuned intervals are exact by construction.
     eip = complex(cos_dt, sin_dt)
     w = -((e - eip) * (e - np.conj(eip))) / (exp_c - 1.0)
-    aa = abs(p.alpha) ** 2
+    aa = _modulus(p.alpha) ** 2
     lambda0 = np.exp(-aa * w)
 
     # Route 2: cotangent form in the normal-mode frequencies.
@@ -334,7 +344,7 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     from scipy.special import gammaln
 
     n = np.arange(cutoff, dtype=float)
-    mag = np.exp(n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) - abs(alpha) ** 2 / 2)
+    mag = np.exp(n * np.log(_modulus(alpha)) - 0.5 * gammaln(n + 1) - _modulus(alpha) ** 2 / 2)
     amps = mag * np.exp(1j * n * np.angle(alpha))
     tail = max(0.0, 1.0 - float(np.sum(mag ** 2)))
     if tail > 1e-10:

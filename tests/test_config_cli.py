@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import zenopure
 from zenopure import cli, engine, linalg
+from zenopure import oscillator as osc
 from zenopure.config import (
     ConfigError,
     ExperimentConfig,
@@ -641,6 +642,63 @@ def test_probe_dimension_mismatch(tmp_path, capsys):
     assert "probe" in err
 
 
+def fixed_tau(value: str) -> str:
+    return FIG1_CONFIG.replace("tuned_m = 1\n", f"tau = {value}\n").replace(
+        'tuned_branch = "plus"\n', ""
+    )
+
+
+REFUSED_CONFIGS = {
+    "reference": FIG1_CONFIG,
+    "tau_nan": fixed_tau("nan"),
+    "tau_inf": fixed_tau("inf"),
+    "g_nan": FIG1_CONFIG.replace("g = 0.2", "g = nan"),
+    "alpha_nan": ZENO_SCAN_CONFIG.replace("alpha_re = 0.5", "alpha_re = nan"),
+    "beta_nan": FIG1_CONFIG.replace("beta = 1", "beta = nan"),
+}
+
+
+@pytest.mark.parametrize("command, config, steps, message", [
+    # Refused past the config parser, in the engine or the closed forms.
+    ("figure1", None, "0", "n_max must be at least 1"),
+    ("figure1", None, "-1", "n_max must be at least 1"),
+    ("purify", "reference", "0", "n_max must be at least 1"),
+    ("purify", "reference", "-1", "n_max must be at least 1"),
+    ("compare", "tau_nan", None, "delta*tau = nan is not finite"),
+    ("compare", "tau_inf", None, "delta*tau = inf is not finite"),
+    ("compare", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
+    ("spectrum", "tau_nan", None, "propagator contains non-finite entries"),
+    ("spectrum", "g_nan", None, "hamiltonian contains non-finite entries"),
+    ("spectrum", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
+    ("purify", "beta_nan", None, "state contains non-finite entries"),
+    ("compare", "beta_nan", None, "state contains non-finite entries"),
+    ("zeno", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
+])
+def test_refused_value_is_one_error_line(tmp_path, capsys, command, config, steps, message):
+    argv = [command, "--cutoff", "14"]
+    if config is not None:
+        argv += ["--config", write(tmp_path, REFUSED_CONFIGS[config])]
+    if steps is not None:
+        argv += ["--steps", steps]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_refused_value_prints_no_traceback(tmp_path):
+    cfg = write(tmp_path, REFUSED_CONFIGS["alpha_nan"])
+    proc = fresh_process(["-m", "zenopure.cli", "compare", "--config", cfg, "--cutoff", "14"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: probe amplitudes contain non-finite entries\n"
+
+
+def test_refusals_are_value_errors():
+    # main reports a ValueError as a refused input (exit code 1); every
+    # refusal the package raises must be one.
+    for refusal in (ConfigError, linalg.NotHermitian, osc.CutoffTooSmall,
+                    osc.DegenerateInterval, osc.ZeroFrequency, np.linalg.LinAlgError):
+        assert issubclass(refusal, ValueError), refusal
+
+
 def test_bad_and_missing_config_exit_one(tmp_path, capsys):
     cfg = write(tmp_path, "garbage\n")
     code, _, err = run_cli(capsys, "spectrum", "--config", cfg)
@@ -687,6 +745,24 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
     assert len(searches[0]) == 2 * 12 - 1  # one block per total excitation number
     assert len(decompositions) == len(searches[0])
     assert len(solves) == spectrum_solves
+
+
+def test_purify_solves_tied_propagator_once(tmp_path, capsys, monkeypatch):
+    # |0.9| is tied, so V has no dominant pair: the one solve that finds
+    # that serves both the target and the trajectory's fidelity column.
+    save_matrix_file(str(tmp_path / "v.mat"), 1, 3, np.diag([0.9, 0.9, 0.5]))
+    cfg = write(tmp_path, '[model]\nkind = "explicit"\npropagator_file = "v.mat"\n')
+    solves = count_calls(monkeypatch, "top_k_eigenpairs")
+    code, out, err = run_cli(capsys, "purify", "--config", cfg, "--steps", "3")
+    assert (code, err) == (0, "")
+    assert len(solves) == 1 and solves[0].pairs == ()
+    assert out == (
+        "N,conditional_probability,yield,fidelity,purity,trace_distance_to_target\n"
+        "0,1,1,,0.33333333333333331,\n"
+        "1,0.62333333333333341,0.62333333333333341,,0.39311962023506525,\n"
+        "2,0.73513368983957217,0.45823333333333338,,0.45763606138890589,\n"
+        "3,0.78453989961446136,0.35950233333333337,,0.4858272163303573,\n"
+    )
 
 
 @pytest.mark.parametrize("command, config", [

@@ -1,6 +1,8 @@
 """Tests for the exactly solvable two-oscillator closed forms."""
 
 
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -83,6 +85,25 @@ def test_destroy():
         destroy(0)
 
 
+def leave_errno_erange():
+    """Leave ERANGE in the C errno, as an overflowing libc call does."""
+    libc = ctypes.CDLL(None)
+    libc.strtod.restype = ctypes.c_double
+    libc.strtod(b"1e999", None)
+
+
+def test_nan_alpha_is_nan_whatever_errno_holds():
+    # CPython's abs of a complex with a nan part returns nan without clearing
+    # errno, so it raises OverflowError after a C call that left ERANGE.
+    alpha = complex(np.nan, 0.0)
+    leave_errno_erange()
+    p = OscillatorParams(1.0, 1.0, 0.2, alpha, beta=1.0, tau=1.0, n_max_a=14, n_max_b=14)
+    leave_errno_erange()
+    assert np.isnan(coefficients(p).lambda0)
+    leave_errno_erange()
+    assert np.isnan(coherent_state(alpha, 14)).all()
+
+
 # ---------------------------------------------------------- coefficients
 
 
@@ -134,6 +155,16 @@ def test_coefficients_degenerate_interval():
     with pytest.raises(DegenerateInterval):
         # g = 0 on resonance: delta = 0 at any interval
         coefficients(OscillatorParams(1.0, 1.0, 0.0, 0.5, beta=1.0, tau=1.3))
+
+
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_coefficients_refuse_non_finite_interval(tau):
+    # A plain ValueError: compare reports a DegenerateInterval with exit code
+    # 2, but a non-finite interval is a refused input.
+    with pytest.raises(ValueError) as info:
+        coefficients(OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=tau))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"delta*tau = {0.2 * tau!r} is not finite"
 
 
 def test_coefficients_identity_grid():
