@@ -372,7 +372,9 @@ def load_matrix_file(path: str) -> tuple[int, int, np.ndarray]:
             f"matrix file {path!r} holds {values.size} numbers, expected {2 * d * d}"
         )
     pairs = values.reshape(d * d, 2)
-    matrix = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
+    # 1j * inf is nan+infj, and the matrix is refused as non-finite where used.
+    with np.errstate(invalid="ignore"):
+        matrix = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
     return dim_a, dim_b, matrix
 
 

@@ -236,9 +236,7 @@ class DensityMatrix:
             raise ValueError("state contains non-finite entries")
         if np.linalg.norm(m - m.conj().T) > 1e-10:
             raise ValueError("state is not Hermitian")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state trace is {tr!r}, expected 1")
+        _check_unit_trace(m)
         lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
         if lo < -1e-9:
             raise ValueError(f"state has negative eigenvalue {lo!r}")
@@ -247,6 +245,12 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_unit_trace(m: np.ndarray) -> None:
+    tr = np.trace(m).real
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"state trace is {tr!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -329,7 +333,9 @@ class ProbeContraction:
         return self.rows.conj().T
 
     def propagator(self, tau: float) -> ProjectedPropagator:
-        """The projected propagator V(tau)."""
+        """The projected propagator V(tau); a non-finite tau is refused first."""
+        if not np.isfinite(tau):
+            raise ValueError("propagator contains non-finite entries")
         v = (self.rows * np.exp(-1j * self.energies * float(tau))) @ self._rows_adjoint
         return ProjectedPropagator(matrix=v, tau=float(tau))
 
@@ -388,7 +394,25 @@ def evolve_step(rho: DensityMatrix, v: ProjectedPropagator,
         raise ExtinctBranch(p)
     p = min(p, 1.0)
     out = (out + out.conj().T) / (2 * p)
-    return DensityMatrix(out), p
+    return _made_state(out), p
+
+
+def _made_state(m: np.ndarray) -> DensityMatrix:
+    """``evolve_step``'s state (out + out†) / 2p with out = V rho V†, checked
+    for its trace only: it is Hermitian and positive by construction, but its
+    trace exceeds 1 when tr(out) > 1 (a singular value of V just above 1) is
+    clipped to p = 1."""
+    _check_unit_trace(m)
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "matrix", m)
+    return state
+
+
+def _n_step(v: ProjectedPropagator, rho: DensityMatrix, n: int) -> tuple[np.ndarray, float]:
+    """V^n and the n-step yield tr(V^n rho V†^n), clipped to [0, 1]."""
+    w = np.linalg.matrix_power(v.matrix, n)
+    p = float(np.trace(w @ rho.matrix @ w.conj().T).real)
+    return w, min(max(p, 0.0), 1.0)
 
 
 def survival_probability(rho: DensityMatrix, v: ProjectedPropagator, n: int) -> float:
@@ -400,9 +424,7 @@ def survival_probability(rho: DensityMatrix, v: ProjectedPropagator, n: int) -> 
         raise ValueError("n must be nonnegative")
     if rho.dim != v.dim:
         raise ValueError(f"state dim {rho.dim} does not match propagator dim {v.dim}")
-    w = np.linalg.matrix_power(v.matrix, n)
-    p = float(np.trace(w @ rho.matrix @ w.conj().T).real)
-    return min(max(p, 0.0), 1.0)
+    return _n_step(v, rho, n)[1]
 
 
 def fidelity(rho: DensityMatrix, pure: np.ndarray) -> float:
@@ -424,7 +446,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
-                     target: np.ndarray | None = None, seed: int = 0,
+                     target: np.ndarray | None = None,
                      eigenpairs: TopKResult | None = None) -> PurificationTrajectory:
     """Iterate confirmed measurements for n_max steps from rho0.
 
@@ -445,7 +467,7 @@ def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
     else:
         found = eigenpairs
         if found is None:
-            found = top_k_eigenpairs(v.matrix, 1, seed=seed)
+            found = top_k_eigenpairs(v.matrix, 1)
         if found.pairs:
             target = found.pairs[0].right
     steps = [_record(0, 1.0, 1.0, rho0, target)]
@@ -478,7 +500,7 @@ def _record(n: int, p: float, cumulative: float, state: DensityMatrix,
 
 
 def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
-                    epsilon: float = 1e-6, seed: int = 0,
+                    epsilon: float = 1e-6,
                     eigenpairs: TopKResult | None = None) -> ConditionsReport:
     """Certify the purification conditions from the top two eigenvalues.
 
@@ -492,7 +514,7 @@ def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
     wanted = min(2, v.dim)
     found = eigenpairs
     if found is None:
-        found = top_k_eigenpairs(v.matrix, wanted, seed=seed)
+        found = top_k_eigenpairs(v.matrix, wanted)
     pairs = found.pairs
     if len(pairs) < wanted and not found.truncated:
         raise ValueError(f"eigenpairs holds {len(pairs)} pairs, fewer than {wanted}")
@@ -528,7 +550,8 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
     The system's one block decomposition of H serves the whole scan. For
     each n the propagator V(total_time / n) then costs one small matrix
     product, W = V^n is formed, and the scan records the n-step yield
-    tr(W rho0 W†) together with the unitarity defect ||W†W - 1||_F. As n
+    tr(W rho0 W†), as ``survival_probability`` gives it, together with the
+    unitarity defect ||W†W - 1||_F of the same W. As n
     grows the repeated projection freezes the leakage out of the probe
     state and W approaches a unitary on B (the frequent-measurement limit).
 
@@ -553,16 +576,9 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
 
     def point(n: int) -> ZenoScanPoint:
         tau = total_time / n
-        v = contraction.propagator(tau)
-        w = np.linalg.matrix_power(v.matrix, n)
-        prob = float(np.trace(w @ rho0.matrix @ w.conj().T).real)
+        w, prob = _n_step(contraction.propagator(tau), rho0, n)
         defect = float(np.linalg.norm(w.conj().T @ w - eye))
-        return ZenoScanPoint(
-            n=n,
-            tau=tau,
-            yield_probability=min(max(prob, 0.0), 1.0),
-            unitarity_defect=defect,
-        )
+        return ZenoScanPoint(n=n, tau=tau, yield_probability=prob, unitarity_defect=defect)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

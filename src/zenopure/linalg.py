@@ -48,14 +48,11 @@ __all__ = [
     "unitary_from_blocks",
     "unitary_exponential",
     "dominant_eigenpair",
-    "deflate",
     "top_k_eigenpairs",
 ]
 
-#: Default residual bound of the eigenpair routines. DEFAULT_MAX_ITER is
-#: kept in their signatures and has no effect.
+#: Default residual bound of the eigenpair routines.
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
 
 #: Relative magnitude gap (|lambda_i| - |lambda_i+1|) / |lambda_i| at or
 #: below which eigenvalue i ties with the next and its pair is refused. It
@@ -429,12 +426,11 @@ def _ranked_pairs(a: np.ndarray, k: int, tol: float):
     return pairs, None
 
 
-def dominant_eigenpair(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                       seed: int = 0) -> EigenPair:
+def dominant_eigenpair(m, tol: float = DEFAULT_TOL) -> EigenPair:
     """Largest-magnitude eigenvalue with right and left eigenvectors.
 
     The first pair ``top_k_eigenpairs`` would return, from one LAPACK
-    ``eig`` of m. ``max_iter`` and ``seed`` are accepted and have no effect.
+    ``eig`` of m.
 
     Raises NoConvergence when the pair is refused, with the measured value
     in the message: when |lambda0| ties with |lambda1| (relative gap
@@ -450,38 +446,16 @@ def dominant_eigenpair(m, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_
     return pairs[0]
 
 
-def deflate(m, pair: EigenPair) -> np.ndarray:
-    """Remove one eigenpair: m - value * |right><left|.
-
-    The pair's eigenvalue becomes 0 and the rest of the spectrum stays, so
-    the next pair by magnitude becomes the dominant one. The pair must
-    carry the gauge this module produces (unit right vector,
-    <left|right> = 1).
-    """
-    a = _as_square(m)
-    right = np.asarray(pair.right, dtype=complex)
-    left = np.asarray(pair.left, dtype=complex)
-    if right.shape != (a.shape[0],) or left.shape != (a.shape[0],):
-        raise ValueError("eigenpair dimension does not match matrix")
-    if abs(np.linalg.norm(right) - 1.0) > 1e-12:
-        raise ValueError("right vector is not unit-normalized")
-    if abs(np.vdot(left, right) - 1.0) > 1e-10:
-        raise ValueError("pair violates <left|right> = 1")
-    return a - pair.value * np.outer(right, left.conj())
-
-
-def top_k_eigenpairs(m, k: int, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> TopKResult:
+def top_k_eigenpairs(m, k: int, tol: float = DEFAULT_TOL) -> TopKResult:
     """Top k eigenpairs by descending magnitude, from one LAPACK ``eig``.
 
     Every returned pair satisfies the EigenPair contract for m, with
-    residual at most ``tol``; ``max_iter`` and ``seed`` are accepted and
-    have no effect. Pairs are taken in order until the first one refused by
-    ``dominant_eigenpair``'s rule: a relative magnitude gap to the next
-    eigenvalue at or below TIE_GAP (1e-6), a unit left/right overlap below
-    MIN_OVERLAP (1e-8), or a residual above ``tol``. The result is then
-    ``truncated`` and holds only the pairs before it; no exception is
-    raised.
+    residual at most ``tol``. Pairs are taken in order until the first one
+    refused by ``dominant_eigenpair``'s rule: a relative magnitude gap to
+    the next eigenvalue at or below TIE_GAP (1e-6), a unit left/right
+    overlap below MIN_OVERLAP (1e-8), or a residual above ``tol``. The
+    result is then ``truncated`` and holds only the pairs before it; no
+    exception is raised.
     """
     pairs, refusal = _ranked_pairs(_as_square(m), k, tol)
     return TopKResult(pairs=tuple(pairs), truncated=refusal is not None)

@@ -255,8 +255,11 @@ def test_criterion_9_randomized_property_suites():
         dim = int(rng.integers(2, 9))
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         m = raw * (rng.uniform(0.5, 1.0) / np.linalg.norm(raw, ord=2))
+        # Once the solver's seed; still drawn, so that the 200 instances
+        # stay the ones the bounds below were set on.
+        rng.integers(10 ** 6)
         try:
-            found = top_k_eigenpairs(m, min(3, dim), seed=int(rng.integers(10 ** 6)))
+            found = top_k_eigenpairs(m, min(3, dim))
         except NoConvergence:
             refusals += 1
             assert refusals <= 20, "too many refusals on generic contractions"

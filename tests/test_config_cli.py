@@ -1,5 +1,6 @@
 """Tests for the config format, matrix file IO, and the command line."""
 
+import inspect
 import os
 import pathlib
 import subprocess
@@ -390,6 +391,19 @@ def test_non_finite_matrix_entry_refused_by_cli(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: hamiltonian contains non-finite entries\n")
 
 
+@pytest.mark.parametrize("key, extra, message", [
+    ("hamiltonian_file", "probe_re = [1]\ntau = 0.5\n", "hamiltonian contains non-finite entries"),
+    ("propagator_file", "", "propagator contains non-finite entries"),
+], ids=["hamiltonian_file", "propagator_file"])
+def test_infinite_matrix_entry_refused_without_warning(tmp_path, capsys, key, extra, message):
+    # 1j * inf is nan+infj; the entry loads so, and only the refusal is printed.
+    (tmp_path / "m.mat").write_text("1 2\n0.5 0 2 inf\n2 -inf 0.25 0\n", encoding="utf-8")
+    entry = load_matrix_file(str(tmp_path / "m.mat"))[2][0, 1]
+    assert np.isnan(entry.real) and entry.imag == np.inf
+    cfg = write(tmp_path, f'[model]\nkind = "explicit"\n{key} = "m.mat"\n{extra}')
+    assert run_cli(capsys, "spectrum", "--config", cfg) == (1, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------------ CLI
 
 
@@ -668,6 +682,8 @@ REFUSED_CONFIGS = {
     ("compare", "tau_inf", None, "delta*tau = inf is not finite"),
     ("compare", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
     ("spectrum", "tau_nan", None, "propagator contains non-finite entries"),
+    ("spectrum", "tau_inf", None, "propagator contains non-finite entries"),
+    ("purify", "tau_inf", None, "propagator contains non-finite entries"),
     ("spectrum", "g_nan", None, "hamiltonian contains non-finite entries"),
     ("spectrum", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
     ("purify", "beta_nan", None, "state contains non-finite entries"),
@@ -890,6 +906,23 @@ def test_package_exports_each_module_all():
             obj = vars(module)[name]
             assert obj.__module__ == module.__name__, name
             assert getattr(zenopure, name) is obj
+
+
+def test_no_public_callable_takes_a_seed_or_max_iter():
+    # Neither ever changed a result; deflate served only its own tests.
+    assert "deflate" not in zenopure.__all__
+    for name in zenopure.__all__:
+        obj = getattr(zenopure, name)
+        methods = [getattr(obj, attr) for attr in vars(obj)] if isinstance(obj, type) else []
+        for member in [obj, *methods]:
+            if not (isinstance(member, type) or inspect.isfunction(member)
+                    or inspect.ismethod(member)):
+                continue
+            try:
+                params = inspect.signature(member).parameters
+            except ValueError:  # a builtin without a signature
+                continue
+            assert not {"seed", "max_iter"} & set(params), (name, member)
 
 
 def test_tol_override(tmp_path, capsys, monkeypatch):

@@ -345,6 +345,15 @@ def test_evolve_step_projective():
     np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
 
+def test_evolve_step_refuses_state_off_unit_trace():
+    # A singular value just above 1 passes the contraction check, but
+    # tr(V rho V†) > 1 is clipped to p = 1, so the state's trace is not 1.
+    rho = DensityMatrix(np.diag([1.0, 0.0]))
+    v = ProjectedPropagator(matrix=np.diag([1 + 5e-10, 0.5]), tau=1.0)
+    with pytest.raises(ValueError, match="state trace is .*, expected 1$"):
+        evolve_step(rho, v)
+
+
 def test_evolve_step_extinct_branch():
     rho = DensityMatrix(np.diag([0.0, 1.0]))
     v = ProjectedPropagator(matrix=np.diag([1.0, 0.0]), tau=1.0)
@@ -496,8 +505,8 @@ def test_spectral_report_diagonal():
 
 def test_spectral_report_reuses_given_eigenpairs():
     _, _, v, rho0 = reference_setup()
-    solved = spectral_report(v, rho0, seed=3)
-    given_ = spectral_report(v, rho0, eigenpairs=top_k_eigenpairs(v.matrix, 5, seed=3))
+    solved = spectral_report(v, rho0)
+    given_ = spectral_report(v, rho0, eigenpairs=top_k_eigenpairs(v.matrix, 5))
     assert (given_.lambda0, given_.lambda1) == (solved.lambda0, solved.lambda1)
     assert given_.yield_plateau_coefficient == solved.yield_plateau_coefficient
     np.testing.assert_array_equal(given_.u0, solved.u0)
@@ -569,6 +578,15 @@ def test_zeno_scan_single_point_matches_survival():
     assert points[0].yield_probability == pytest.approx(
         survival_probability(rho0, v, 1), rel=1e-10
     )
+
+
+def test_zeno_scan_yields_are_survival_probabilities():
+    sys_, phi, _, rho0 = reference_setup()
+    n_values = [1, 2, 4, 8, 16, 32]
+    points = zeno_limit_scan(sys_, phi, rho0, REFERENCE.tau, n_values)
+    for point, n in zip(points, n_values):
+        v = build_projected_propagator(sys_, phi, REFERENCE.tau / n)
+        assert point.yield_probability == survival_probability(rho0, v, n)
 
 
 def test_zeno_scan_decoupled_hamiltonian():

@@ -15,7 +15,6 @@ from zenopure.linalg import (
     NoConvergence,
     NotHermitian,
     block_eigendecompose,
-    deflate,
     dominant_eigenpair,
     hermitian_eigendecompose,
     top_k_eigenpairs,
@@ -76,9 +75,8 @@ def test_charpoly_oracle_sanity():
     block_eigendecompose,
     lambda m: unitary_exponential(m, 1.0),
     dominant_eigenpair,
-    lambda m: deflate(m, dominant_eigenpair(np.diag([0.9, 0.5]))),
     lambda m: top_k_eigenpairs(m, 1),
-], ids=["hermitian", "blocks", "unitary", "dominant", "deflate", "top_k"])
+], ids=["hermitian", "blocks", "unitary", "dominant", "top_k"])
 def test_matrix_refusals_name_the_fault(entry):
     # Every public entry point takes its matrix through one shape and
     # finiteness check, with the same three messages.
@@ -263,14 +261,14 @@ def test_dominant_eigenpair_gauge():
 
 def test_dominant_eigenpair_refuses_defective_adjacent():
     with pytest.raises(NoConvergence):
-        dominant_eigenpair(np.array([[0.5, 0.3], [0.0, 0.5]]), max_iter=2000)
+        dominant_eigenpair(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
 
 def test_dominant_eigenpair_refuses_unitary_tie():
     theta = 2 * np.pi / 3
     u = np.diag([1.0, np.exp(1j * theta), np.exp(2j * theta)])
     with pytest.raises(NoConvergence):
-        dominant_eigenpair(u, max_iter=2000)
+        dominant_eigenpair(u)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -316,51 +314,6 @@ def test_near_defective_pair_refused_by_overlap():
     assert found.truncated and found.pairs == ()
 
 
-def test_seed_and_max_iter_have_no_effect():
-    m = random_contraction(np.random.default_rng(8), 5)
-    pair = dominant_eigenpair(m)
-    other = dominant_eigenpair(m, max_iter=1, seed=12345)
-    assert other.value == pair.value
-    np.testing.assert_array_equal(other.right, pair.right)
-    np.testing.assert_array_equal(other.left, pair.left)
-
-
-def test_deflate_diagonal():
-    m = np.diag([0.9, 0.5]).astype(complex)
-    pair = dominant_eigenpair(m)
-    np.testing.assert_allclose(deflate(m, pair), np.diag([0.0, 0.5]), atol=1e-9)
-
-
-def test_deflate_rank_one_to_zero():
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    u /= np.linalg.norm(u)
-    m = 0.7 * np.outer(u, u.conj())
-    pair = dominant_eigenpair(m)
-    assert np.linalg.norm(deflate(m, pair)) <= 1e-12
-
-
-def test_deflate_validates_gauge():
-    m = np.diag([0.9, 0.5]).astype(complex)
-    pair = dominant_eigenpair(m)
-    bad_right = pair.__class__(
-        value=pair.value, right=2 * pair.right, left=pair.left, residual=pair.residual
-    )
-    with pytest.raises(ValueError):
-        deflate(m, bad_right)
-    bad_left = pair.__class__(
-        value=pair.value, right=pair.right, left=3 * pair.left, residual=pair.residual
-    )
-    with pytest.raises(ValueError):
-        deflate(m, bad_left)
-
-
-def test_deflation_reaches_subdominant():
-    m = np.diag([0.9, 0.5]).astype(complex)
-    second = dominant_eigenpair(deflate(m, dominant_eigenpair(m)))
-    assert abs(second.value - 0.5) < 1e-8
-
-
 def test_top_k_diagonal():
     found = top_k_eigenpairs(np.diag([0.9, 0.5, 0.1]).astype(complex), 3)
     assert not found.truncated
@@ -370,7 +323,7 @@ def test_top_k_diagonal():
 def test_top_k_truncates_on_unitary():
     theta = 2 * np.pi / 3
     u = np.diag([1.0, np.exp(1j * theta), np.exp(2j * theta)])
-    found = top_k_eigenpairs(u, 2, max_iter=2000)
+    found = top_k_eigenpairs(u, 2)
     assert found.truncated
     assert len(found.pairs) < 2
 
