@@ -36,7 +36,7 @@ from .config import (
 )
 from . import engine
 from . import oscillator as osc
-from .linalg import top_k_eigenpairs, unitary_from_blocks
+from .linalg import unitary_from_blocks
 
 DEFAULT_EPSILON = 1e-6
 COMPARE_TOLERANCES = {
@@ -164,16 +164,15 @@ def _propagator(model: _Model) -> engine.ProjectedPropagator:
 
 def _target_vector(model: _Model, v: engine.ProjectedPropagator):
     """Fidelity/distance target: closed-form coherent state when available,
-    otherwise the computed dominant eigenvector, otherwise None. Also returns
-    the solve of V, if one was made, so that the trajectory does not repeat it."""
+    otherwise the computed dominant eigenvector, otherwise None."""
     if model.params is not None:
         try:
             coeffs = osc.coefficients(model.params)
         except osc.DegenerateInterval:
-            return None, None
-        return osc.coherent_state(coeffs.alpha_tilde, model.params.n_max_b), None
-    found = top_k_eigenpairs(v.matrix, 1)
-    return (found.pairs[0].right if found.pairs else None), found
+            return None
+        return osc.coherent_state(coeffs.alpha_tilde, model.params.n_max_b)
+    pairs = v.eigenpairs.pairs
+    return pairs[0].right if pairs else None
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -194,17 +193,13 @@ def cmd_spectrum(args) -> int:
     model = _build_model(cfg, config_dir, args.cutoff)
     epsilon = _tol_override() or DEFAULT_EPSILON
     v = _propagator(model)
-    # One solve of V's spectrum serves the report and the closed-form table,
-    # which needs five pairs; without the table two suffice.
     coeffs = unavailable = None
     if model.params is not None:
         try:
             coeffs = osc.coefficients(model.params)
         except osc.DegenerateInterval as exc:
             unavailable = f"closed_form = unavailable ({exc})"
-    k = 2 if coeffs is None else 5
-    found = top_k_eigenpairs(v.matrix, min(k, v.dim))
-    report = engine.spectral_report(v, model.rho0, epsilon=epsilon, eigenpairs=found)
+    report = engine.spectral_report(v, model.rho0, epsilon=epsilon)
     lines = [f"degenerate = {'true' if report.degenerate else 'false'}"]
     if report.lambda0 is not None:
         lines.append(f"lambda0 = {_fmt_complex(report.lambda0)}")
@@ -214,7 +209,7 @@ def cmd_spectrum(args) -> int:
     if report.lambda1 is not None:
         lines.append(f"lambda1 = {_fmt_complex(report.lambda1)}")
         lines.append(f"gap_ratio = {_fmt(report.gap_ratio)}")
-        lines.append(f"condition_ii_ratio = {_fmt(report.condition_ii_ratio)}")
+        lines.append(f"condition_ii_ratio = {_fmt(report.gap_ratio)}")
     else:
         lines.append("lambda1 = unavailable")
     lines.append(f"condition_i_met = {'true' if report.condition_i_met else 'false'}")
@@ -226,7 +221,7 @@ def cmd_spectrum(args) -> int:
     if unavailable is not None:
         lines.append(unavailable)
     if coeffs is not None:
-        lines.extend(_closed_form_lines(coeffs, found))
+        lines.extend(_closed_form_lines(coeffs, v.eigenpairs))
     _write_output("\n".join(lines) + "\n", args.out)
     return 2 if report.degenerate else 0
 
@@ -244,8 +239,8 @@ def _closed_form_lines(coeffs, found) -> list[str]:
 
 def _trajectory_csv(model: _Model, steps: int) -> str:
     v = _propagator(model)
-    target, found = _target_vector(model, v)
-    trajectory = engine.run_purification(model.rho0, v, steps, target=target, eigenpairs=found)
+    target = _target_vector(model, v)
+    trajectory = engine.run_purification(model.rho0, v, steps, target=target)
     target_dm = None
     if target is not None:
         target_dm = engine.DensityMatrix(np.outer(target, target.conj()))
@@ -354,21 +349,14 @@ def cmd_compare(args) -> int:
 
     # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
     # the spectrum lies on a circle and the eigensolver rightly refuses.
-    # One solve of V's spectrum serves the trajectory's target and the
-    # geometric check, which needs five pairs; without that check one does.
     geometric = coeffs.abs_exp_c < 1.0 - 1e-9
-    found = None
-    if v_eng is not None:
-        found = top_k_eigenpairs(v_eng.matrix, min(5 if geometric else 1, v_eng.dim))
 
     if v_eng is None:
         check("trajectory_max_trace_distance", "trajectory", None, "no propagator")
     else:
         try:
             horizon = min(10, cfg.n_steps)
-            trajectory = engine.run_purification(
-                model.rho0, v_eng, horizon, target=None, eigenpairs=found
-            )
+            trajectory = engine.run_purification(model.rho0, v_eng, horizon, target=None)
             worst = 0.0
             for step in trajectory.steps:
                 reference = osc.closed_form_rho(params, step.n)
@@ -387,19 +375,20 @@ def cmd_compare(args) -> int:
     elif v_eng is None:
         check("eigenvalue_geometric_max_rel_dev", "geometric", None, "no propagator")
     else:
+        pairs = v_eng.eigenpairs.pairs
         worst = None
-        if found.pairs:
-            lam0 = found.pairs[0].value
+        if pairs:
+            lam0 = pairs[0].value
             worst = 0.0
-            for n, pair in enumerate(found.pairs[: 5]):
+            for n, pair in enumerate(pairs):
                 reference = coeffs.exp_c ** n
                 worst = max(worst, abs(pair.value / lam0 - reference) / abs(reference))
         if worst is None:
             check("eigenvalue_geometric_max_rel_dev", "geometric", None, "no eigenpairs")
         else:
             check("eigenvalue_geometric_max_rel_dev", "geometric", worst)
-        if len(found.pairs) >= 2:
-            gap_numeric = abs(found.pairs[1].value) / abs(found.pairs[0].value)
+        if len(pairs) >= 2:
+            gap_numeric = abs(pairs[1].value) / abs(pairs[0].value)
 
     if gap_numeric is not None:
         lines.append(f"gap_ratio_numeric = {_fmt(gap_numeric)}")

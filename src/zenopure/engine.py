@@ -54,6 +54,10 @@ __all__ = [
 #: branch: the confirmation outcome essentially never occurs.
 EXTINCT_THRESHOLD = 1e-14
 
+#: Eigenpairs of V solved for, the most any output reads: the spectrum
+#: command's closed-form table and compare's geometric check.
+SPECTRUM_PAIRS = 5
+
 
 class ExtinctBranch(RuntimeError):
     """The confirmation success probability fell below threshold."""
@@ -187,7 +191,7 @@ class ProbeState:
             raise ValueError("probe amplitudes contain non-finite entries")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"probe state norm is {norm!r}, expected 1")
+            raise ValueError(f"probe state norm is {float(norm)}, expected 1")
         object.__setattr__(self, "amplitudes", v)
 
     @property
@@ -213,13 +217,18 @@ class ProjectedPropagator:
         smax = np.linalg.norm(m, ord=2)
         if smax > 1 + 1e-9:
             raise ValueError(
-                f"largest singular value {smax!r} exceeds 1: not a contraction"
+                f"largest singular value {float(smax)} exceeds 1: not a contraction"
             )
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigenpairs(self) -> TopKResult:
+        """The top min(SPECTRUM_PAIRS, dim) eigenpairs of V, solved on first use."""
+        return top_k_eigenpairs(self.matrix, min(SPECTRUM_PAIRS, self.dim))
 
 
 @dataclass(frozen=True)
@@ -239,7 +248,7 @@ class DensityMatrix:
         _check_unit_trace(m)
         lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
         if lo < -1e-9:
-            raise ValueError(f"state has negative eigenvalue {lo!r}")
+            raise ValueError(f"state has negative eigenvalue {float(lo)}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -250,7 +259,7 @@ class DensityMatrix:
 def _check_unit_trace(m: np.ndarray) -> None:
     tr = np.trace(m).real
     if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"state trace is {tr!r}, expected 1")
+        raise ValueError(f"state trace is {float(tr)}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -285,10 +294,10 @@ class ConditionsReport:
     """Spectral certificate for efficient purification.
 
     condition I: |lambda0| within epsilon of 1, so the yield does not decay.
-    condition II: small |lambda1/lambda0|, so convergence is fast. When the
-    top-two magnitude structure cannot be certified (no gap), ``degenerate``
-    is set, the optional fields are None and both condition flags are off;
-    degeneracy is data, not an error.
+    condition II: small |lambda1/lambda0| (``gap_ratio``), so convergence is
+    fast. When the top-two magnitude structure cannot be certified (no gap),
+    ``degenerate`` is set, the optional fields are None and both condition
+    flags are off; degeneracy is data, not an error.
     """
 
     lambda0: complex | None
@@ -296,7 +305,6 @@ class ConditionsReport:
     gap_ratio: float | None
     yield_plateau_coefficient: float | None
     condition_i_met: bool
-    condition_ii_ratio: float | None
     degenerate: bool
     u0: np.ndarray | None
     v0: np.ndarray | None
@@ -376,21 +384,20 @@ def build_projected_propagator(sys: BipartiteSystem, phi: ProbeState,
     return contract_probe(sys, phi).propagator(tau)
 
 
-def evolve_step(rho: DensityMatrix, v: ProjectedPropagator,
-                threshold: float = EXTINCT_THRESHOLD) -> tuple[DensityMatrix, float]:
+def evolve_step(rho: DensityMatrix, v: ProjectedPropagator) -> tuple[DensityMatrix, float]:
     """One confirmed measurement: rho -> V rho V† / p with p = tr(V rho V†).
 
     Returns the renormalized post-measurement state and the conditional
     success probability p. Raises ExtinctBranch when p falls below
-    ``threshold``, meaning the confirmation outcome never occurs and the
-    conditional state is undefined.
+    EXTINCT_THRESHOLD (1e-14), meaning the confirmation outcome never occurs
+    and the conditional state is undefined.
     """
     if rho.dim != v.dim:
         raise ValueError(f"state dim {rho.dim} does not match propagator dim {v.dim}")
     m = v.matrix
     out = m @ rho.matrix @ m.conj().T
     p = float(np.trace(out).real)
-    if p < threshold:
+    if p < EXTINCT_THRESHOLD:
         raise ExtinctBranch(p)
     p = min(p, 1.0)
     out = (out + out.conj().T) / (2 * p)
@@ -446,15 +453,13 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
-                     target: np.ndarray | None = None,
-                     eigenpairs: TopKResult | None = None) -> PurificationTrajectory:
+                     target: np.ndarray | None = None) -> PurificationTrajectory:
     """Iterate confirmed measurements for n_max steps from rho0.
 
     Records, for every n in 0..n_max, the conditional success probability,
     the cumulative yield (their running product), the fidelity to ``target``
     and the purity. When no target is supplied the dominant right-eigenvector
-    of V is used, taken from ``eigenpairs`` (a ``top_k_eigenpairs`` result
-    for V already at hand) or else solved for here; if that eigenvector is
+    of V is used, taken from ``v.eigenpairs``; if that eigenvector is
     unavailable (degenerate magnitudes) fidelity is recorded as None. Stops
     early with ``truncated`` set when the branch goes extinct.
     """
@@ -464,12 +469,8 @@ def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
         target = np.asarray(target, dtype=complex).reshape(-1)
         if abs(np.linalg.norm(target) - 1.0) > 1e-10:
             raise ValueError("target state must be unit-norm")
-    else:
-        found = eigenpairs
-        if found is None:
-            found = top_k_eigenpairs(v.matrix, 1)
-        if found.pairs:
-            target = found.pairs[0].right
+    elif v.eigenpairs.pairs:
+        target = v.eigenpairs.pairs[0].right
     steps = [_record(0, 1.0, 1.0, rho0, target)]
     state = rho0
     cumulative = 1.0
@@ -500,25 +501,15 @@ def _record(n: int, p: float, cumulative: float, state: DensityMatrix,
 
 
 def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
-                    epsilon: float = 1e-6,
-                    eigenpairs: TopKResult | None = None) -> ConditionsReport:
-    """Certify the purification conditions from the top two eigenvalues.
+                    epsilon: float = 1e-6) -> ConditionsReport:
+    """Certify the purification conditions from the top two eigenvalues of
+    ``v.eigenpairs``.
 
     yield_plateau_coefficient is <v0| rho0 |v0> in the gauge ||u0|| = 1,
     <v0|u0> = 1: the asymptotic value of yield / |lambda0|^(2N).
-
-    ``eigenpairs`` is a ``top_k_eigenpairs`` result for V already at hand,
-    asked for at least min(2, dim) pairs; without it the top two are solved
-    for here.
     """
-    wanted = min(2, v.dim)
-    found = eigenpairs
-    if found is None:
-        found = top_k_eigenpairs(v.matrix, wanted)
-    pairs = found.pairs
-    if len(pairs) < wanted and not found.truncated:
-        raise ValueError(f"eigenpairs holds {len(pairs)} pairs, fewer than {wanted}")
-    degenerate = len(pairs) < wanted
+    pairs = v.eigenpairs.pairs
+    degenerate = len(pairs) < min(2, v.dim)
     lambda0 = pairs[0].value if len(pairs) >= 1 else None
     lambda1 = pairs[1].value if len(pairs) >= 2 else None
     u0 = pairs[0].right if pairs else None
@@ -536,7 +527,6 @@ def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
         yield_plateau_coefficient=plateau,
         condition_i_met=(not degenerate and lambda0 is not None
                          and abs(abs(lambda0) - 1.0) <= epsilon),
-        condition_ii_ratio=gap,
         degenerate=degenerate,
         u0=u0,
         v0=v0,

@@ -51,7 +51,7 @@ __all__ = [
     "top_k_eigenpairs",
 ]
 
-#: Default residual bound of the eigenpair routines.
+#: Residual bound ||M right - value right|| of the eigenpair routines.
 DEFAULT_TOL = 1e-10
 
 #: Relative magnitude gap (|lambda_i| - |lambda_i+1|) / |lambda_i| at or
@@ -151,24 +151,23 @@ class TopKResult:
     truncated: bool
 
 
-def _check_hermitian(dev: float, scale: float, tol: float = 1e-9) -> None:
-    """Raise NotHermitian unless ||m - m†||_F = dev <= tol * ||m||_F = scale."""
-    if dev > tol * max(scale, _UNDERFLOW):
+def _check_hermitian(dev: float, scale: float) -> None:
+    """Raise NotHermitian unless dev = ||m - m†||_F <= 1e-9 ||m||_F = 1e-9 scale."""
+    if dev > 1e-9 * max(scale, _UNDERFLOW):
         raise NotHermitian(
             f"matrix is not Hermitian: ||m - m†||/||m|| = {dev / max(scale, _UNDERFLOW):.3e}"
         )
 
 
-def hermitian_eigendecompose(m, tol: float = 1e-9, *,
-                             checked: bool = False) -> HermitianEigenDecomposition:
+def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianEigenDecomposition:
     """Eigendecompose a Hermitian matrix into ascending eigenvalues.
+
+    m must be finite and pass the symmetry check ||m - m†||_F <= 1e-9
+    ||m||_F; anything beyond truncation-arithmetic noise is rejected.
 
     Parameters
     ----------
     m : array_like, square
-    tol : relative Frobenius tolerance for the symmetry check
-        ||m - m†||_F <= tol * ||m||_F; anything beyond truncation-arithmetic
-        noise should be rejected, hence the tight default.
     checked : the caller has already found m finite and within its bound of
         Hermitian, as ``_decompose_blocks`` has for each block; the
         finiteness and symmetry tests are skipped.
@@ -186,7 +185,7 @@ def hermitian_eigendecompose(m, tol: float = 1e-9, *,
         a = np.asarray(m, dtype=complex)
     else:
         a = _as_square(m)
-        _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a), tol)
+        _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a))
     sym = (a + a.conj().T) / 2
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -370,7 +369,7 @@ def unitary_exponential(h, t: float) -> np.ndarray:
     return unitary_from_blocks(block_eigendecompose(h), t)
 
 
-def _ranked_pairs(a: np.ndarray, k: int, tol: float):
+def _ranked_pairs(a: np.ndarray, k: int):
     """``top_k_eigenpairs``' pairs, and the NoConvergence that refused the
     next one, reporting the measured gap, overlap or residual (None when
     all k pairs were taken)."""
@@ -417,16 +416,16 @@ def _ranked_pairs(a: np.ndarray, k: int, tol: float):
                 f"< {MIN_OVERLAP:.0e})",
                 residual,
             )
-        if residual > tol:
+        if residual > DEFAULT_TOL:
             return pairs, NoConvergence(
-                f"residual {residual:.3e} above tolerance {tol:.1e}", residual
+                f"residual {residual:.3e} above tolerance {DEFAULT_TOL:.1e}", residual
             )
         left = left / np.conj(np.vdot(left, right))
         pairs.append(EigenPair(value=value, right=right, left=left, residual=residual))
     return pairs, None
 
 
-def dominant_eigenpair(m, tol: float = DEFAULT_TOL) -> EigenPair:
+def dominant_eigenpair(m) -> EigenPair:
     """Largest-magnitude eigenvalue with right and left eigenvectors.
 
     The first pair ``top_k_eigenpairs`` would return, from one LAPACK
@@ -438,24 +437,24 @@ def dominant_eigenpair(m, tol: float = DEFAULT_TOL) -> EigenPair:
     no unique dominant eigenvalue exists, which is exactly the condition
     purification analysis must detect; when the pair is near-defective
     (unit left/right overlap |<v|u>| below MIN_OVERLAP, 1e-8); or when its
-    residual exceeds ``tol``.
+    residual exceeds DEFAULT_TOL, 1e-10.
     """
-    pairs, refusal = _ranked_pairs(_as_square(m), 1, tol)
+    pairs, refusal = _ranked_pairs(_as_square(m), 1)
     if refusal is not None:
         raise refusal
     return pairs[0]
 
 
-def top_k_eigenpairs(m, k: int, tol: float = DEFAULT_TOL) -> TopKResult:
+def top_k_eigenpairs(m, k: int) -> TopKResult:
     """Top k eigenpairs by descending magnitude, from one LAPACK ``eig``.
 
     Every returned pair satisfies the EigenPair contract for m, with
-    residual at most ``tol``. Pairs are taken in order until the first one
-    refused by ``dominant_eigenpair``'s rule: a relative magnitude gap to
-    the next eigenvalue at or below TIE_GAP (1e-6), a unit left/right
-    overlap below MIN_OVERLAP (1e-8), or a residual above ``tol``. The
+    residual at most DEFAULT_TOL (1e-10). Pairs are taken in order until the
+    first one refused by ``dominant_eigenpair``'s rule: a relative magnitude
+    gap to the next eigenvalue at or below TIE_GAP (1e-6), a unit left/right
+    overlap below MIN_OVERLAP (1e-8), or a residual above DEFAULT_TOL. The
     result is then ``truncated`` and holds only the pairs before it; no
     exception is raised.
     """
-    pairs, refusal = _ranked_pairs(_as_square(m), k, tol)
+    pairs, refusal = _ranked_pairs(_as_square(m), k)
     return TopKResult(pairs=tuple(pairs), truncated=refusal is not None)

@@ -491,6 +491,18 @@ def test_out_flag_writes_stdout_text(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == streamed
 
 
+def test_purify_state_trace_refusal_prints_a_plain_float(tmp_path, capsys):
+    # A singular value just above 1 passes the contraction check; the clipped
+    # trajectory then leaves unit trace, and the refusal prints the trace as
+    # a float, not as a numpy scalar's repr.
+    save_matrix_file(str(tmp_path / "v.mat"), 1, 2, np.diag([1 + 5e-10, 0.5]))
+    cfg = write(tmp_path, '[model]\nkind = "explicit"\npropagator_file = "v.mat"\n'
+                "n_steps = 60\n")
+    assert run_cli(capsys, "purify", "--config", cfg) == (
+        1, "", "error: state trace is 1.0000000003015082, expected 1\n"
+    )
+
+
 def test_purify_extinct_branch(tmp_path, capsys):
     save_matrix_file(str(tmp_path / "v.mat"), 1, 2, np.zeros((2, 2)))
     cfg = write(tmp_path, '[model]\nkind = "explicit"\npropagator_file = "v.mat"\n')
@@ -909,7 +921,8 @@ def test_package_exports_each_module_all():
 
 
 def test_no_public_callable_takes_a_seed_or_max_iter():
-    # Neither ever changed a result; deflate served only its own tests.
+    # Neither ever changed a result; deflate served only its own tests. No
+    # caller set a tolerance or threshold, and V solves its own eigenpairs.
     assert "deflate" not in zenopure.__all__
     for name in zenopure.__all__:
         obj = getattr(zenopure, name)
@@ -922,7 +935,8 @@ def test_no_public_callable_takes_a_seed_or_max_iter():
                 params = inspect.signature(member).parameters
             except ValueError:  # a builtin without a signature
                 continue
-            assert not {"seed", "max_iter"} & set(params), (name, member)
+            forbidden = {"seed", "max_iter", "tol", "threshold", "eigenpairs"}
+            assert not forbidden & set(params), (name, member)
 
 
 def test_tol_override(tmp_path, capsys, monkeypatch):

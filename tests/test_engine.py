@@ -259,6 +259,19 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ProbeState(np.array([1.0, 1.0])), r"probe state norm is 1\.41421356\d*, expected 1$"),
+    (lambda: ProjectedPropagator(matrix=np.diag([1.5, 0.2]), tau=1.0),
+     r"largest singular value 1\.5\d* exceeds 1: not a contraction$"),
+    (lambda: DensityMatrix(np.diag([1.5, -0.5])), r"state has negative eigenvalue -0\.5\d*$"),
+], ids=["probe_norm", "singular_value", "negative_eigenvalue"])
+def test_value_refusals_print_plain_floats(build, message):
+    # The measured value is printed as a float, not as a numpy scalar's repr.
+    with pytest.raises(ValueError, match=message) as refused:
+        build()
+    assert "np." not in str(refused.value)
+
+
 # ------------------------------------------------------------- propagator
 
 
@@ -503,15 +516,41 @@ def test_spectral_report_diagonal():
     assert not report.condition_i_met
 
 
-def test_spectral_report_reuses_given_eigenpairs():
+@pytest.mark.parametrize("dim", [None, 2, 3, 4, 6, 9, 17, 40])
+def test_spectral_report_matches_top_two_pairs(dim):
+    # The report reads V's cached pairs, up to five; its values are, bit for bit,
+    # those of a solve for two, so the spectrum command's plateau line does
+    # not depend on how many pairs V holds.
+    if dim is None:
+        _, _, v, rho0 = reference_setup()
+    else:
+        rng = np.random.default_rng(dim)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v = ProjectedPropagator(matrix=0.9 * m / np.linalg.norm(m, ord=2), tau=1.0)
+        rho0 = random_density(rng, dim)
+    report = spectral_report(v, rho0)
+    first, second = top_k_eigenpairs(v.matrix, 2).pairs
+    assert not report.degenerate
+    assert (report.lambda0, report.lambda1) == (first.value, second.value)
+    assert report.yield_plateau_coefficient == float(
+        np.vdot(first.left, rho0.matrix @ first.left).real
+    )
+    np.testing.assert_array_equal(report.u0, first.right)
+
+
+def test_readme_session_solves_v_once(monkeypatch):
+    # A report followed by a trajectory on one V solves V's spectrum once.
+    calls = []
+
+    def counted(m, k):
+        calls.append(k)
+        return top_k_eigenpairs(m, k)
+
+    monkeypatch.setattr(engine, "top_k_eigenpairs", counted)
     _, _, v, rho0 = reference_setup()
-    solved = spectral_report(v, rho0)
-    given_ = spectral_report(v, rho0, eigenpairs=top_k_eigenpairs(v.matrix, 5))
-    assert (given_.lambda0, given_.lambda1) == (solved.lambda0, solved.lambda1)
-    assert given_.yield_plateau_coefficient == solved.yield_plateau_coefficient
-    np.testing.assert_array_equal(given_.u0, solved.u0)
-    with pytest.raises(ValueError, match="fewer than 2"):
-        spectral_report(v, rho0, eigenpairs=top_k_eigenpairs(v.matrix, 1))
+    spectral_report(v, rho0)
+    run_purification(rho0, v, 30)
+    assert len(calls) == 1
 
 
 def test_spectral_report_reference_conditions():
