@@ -12,10 +12,13 @@ figure1    purify with the reference oscillator parameter set baked in
 
 Exit codes: 0 success, 1 refused input (the config, a model file, or a
 value the model refuses, named in the message), 2 degenerate spectrum,
-3 cross-check tolerance breach. The environment variable ZENOPURE_TOL
-(a positive float) overrides the spectrum epsilon and every compare
-tolerance at once. All numeric output uses 17 significant digits so runs
-are byte-comparable.
+3 cross-check tolerance breach. A compare check that cannot run prints
+``<name> = refused (<reason>)`` and counts as a breach; the reason is the
+cutoff refusal, ``no propagator`` or ``no eigenpairs``. The geometric
+check prints ``skipped`` when |e^C| = 1. The environment variable
+ZENOPURE_TOL overrides the spectrum epsilon and every compare tolerance at
+once; it must be a positive number, and nan is refused. All numeric output
+uses 17 significant digits so runs are byte-comparable.
 """
 
 from __future__ import annotations
@@ -72,14 +75,13 @@ def _tol_override() -> float | None:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"ZENOPURE_TOL must be a number, got {raw!r}") from None
-    if value <= 0:
+    if not value > 0:  # also refuses nan, which compares false to everything
         raise ConfigError("ZENOPURE_TOL must be positive")
     return value
 
 
 @dataclass(frozen=True)
 class _Model:
-    cfg: ExperimentConfig
     params: osc.OscillatorParams | None = None
     system: engine.BipartiteSystem | None = None
     phi: engine.ProbeState | None = None
@@ -116,7 +118,6 @@ def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> 
     if cfg.kind == "oscillator":
         params = _resolve_params(cfg, cutoff)
         return _Model(
-            cfg=cfg,
             params=params,
             system=osc.build_hamiltonian(params),
             rho0=osc.thermal_state(params.beta, params.omega, params.n_max_b),
@@ -132,7 +133,6 @@ def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> 
                 f"probe has {probe.shape[0]} amplitudes, Hamiltonian declares dim_a = {dim_a}"
             )
         return _Model(
-            cfg=cfg,
             system=system,
             phi=engine.ProbeState(probe),
             rho0=_maximally_mixed(dim_b),
@@ -143,7 +143,7 @@ def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> 
     if dim_a != 1:
         raise ConfigError("a propagator file must declare dim_a = 1")
     fixed = engine.ProjectedPropagator(matrix=matrix, tau=cfg.tau if cfg.tau else 0.0)
-    return _Model(cfg=cfg, fixed_v=fixed, rho0=_maximally_mixed(dim_b), tau=fixed.tau)
+    return _Model(fixed_v=fixed, rho0=_maximally_mixed(dim_b), tau=fixed.tau)
 
 
 def _maximally_mixed(dim: int) -> engine.DensityMatrix:
@@ -301,18 +301,18 @@ def cmd_compare(args) -> int:
     lines = []
     breached = False
 
-    def check(label: str, tol_key: str, value, reason: str | None = None):
+    def check(label: str, tol_key: str, value: float | str):
+        """Report a deviation, or a refusal (a reason str), which breaches."""
         nonlocal breached
         tol = tols[tol_key]
-        if value is None:
-            lines.append(f"{label} = refused ({reason})")
-            lines.append(f"{label}_tolerance = {_fmt(tol)}")
+        if isinstance(value, str):
+            lines.append(f"{label} = refused ({value})")
             breached = True
-            return
-        lines.append(f"{label} = {_fmt(value)}")
+        else:
+            lines.append(f"{label} = {_fmt(value)}")
+            if value > tol:
+                breached = True
         lines.append(f"{label}_tolerance = {_fmt(tol)}")
-        if value > tol:
-            breached = True
 
     # The system's one block decomposition of H serves both the factorization
     # check and V. The factorization is checked against the eigendecomposition
@@ -333,30 +333,28 @@ def cmd_compare(args) -> int:
         float(np.abs(u_direct - u_product).max()),
     )
 
-    v_eng = None
+    # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
+    # the spectrum lies on a circle and the eigensolver rightly refuses.
+    geometric = coeffs.abs_exp_c < 1.0 - 1e-9
+
+    pairs = ()
     try:
-        v_eng = engine.contract_probe(model.system, _probe(model)).propagator(params.tau)
+        v = _propagator(model)
     except osc.CutoffTooSmall as exc:
-        check("propagator_block_max_dev", "propagator_block", None, str(exc))
-    if v_eng is not None:
+        check("propagator_block_max_dev", "propagator_block", str(exc))
+        check("trajectory_max_trace_distance", "trajectory", "no propagator")
+        no_pairs = "no propagator"
+    else:
         v_closed = osc.closed_form_propagator(params)
         nb = min(PROPAGATOR_BLOCK + 1, params.n_max_b)
         check(
             "propagator_block_max_dev",
             "propagator_block",
-            float(np.abs(v_eng.matrix[:nb, :nb] - v_closed[:nb, :nb]).max()),
+            float(np.abs(v.matrix[:nb, :nb] - v_closed[:nb, :nb]).max()),
         )
-
-    # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
-    # the spectrum lies on a circle and the eigensolver rightly refuses.
-    geometric = coeffs.abs_exp_c < 1.0 - 1e-9
-
-    if v_eng is None:
-        check("trajectory_max_trace_distance", "trajectory", None, "no propagator")
-    else:
         try:
             horizon = min(10, cfg.n_steps)
-            trajectory = engine.run_purification(model.rho0, v_eng, horizon, target=None)
+            trajectory = engine.run_purification(model.rho0, v, horizon, target=None)
             worst = 0.0
             for step in trajectory.steps:
                 reference = osc.closed_form_rho(params, step.n)
@@ -365,32 +363,26 @@ def cmd_compare(args) -> int:
                 worst = max(worst, dist)
             check("trajectory_max_trace_distance", "trajectory", worst)
         except osc.CutoffTooSmall as exc:
-            check("trajectory_max_trace_distance", "trajectory", None, str(exc))
+            check("trajectory_max_trace_distance", "trajectory", str(exc))
+        no_pairs = "no eigenpairs"
+        if geometric:
+            pairs = v.eigenpairs.pairs
 
-    gap_numeric = None
     if not geometric:
         lines.append(
             "eigenvalue_geometric_max_rel_dev = skipped (no magnitude gap, |e^C| = 1)"
         )
-    elif v_eng is None:
-        check("eigenvalue_geometric_max_rel_dev", "geometric", None, "no propagator")
+    elif pairs:
+        lam0 = pairs[0].value
+        worst = 0.0
+        for n, pair in enumerate(pairs):
+            reference = coeffs.exp_c ** n
+            worst = max(worst, abs(pair.value / lam0 - reference) / abs(reference))
+        check("eigenvalue_geometric_max_rel_dev", "geometric", worst)
     else:
-        pairs = v_eng.eigenpairs.pairs
-        worst = None
-        if pairs:
-            lam0 = pairs[0].value
-            worst = 0.0
-            for n, pair in enumerate(pairs):
-                reference = coeffs.exp_c ** n
-                worst = max(worst, abs(pair.value / lam0 - reference) / abs(reference))
-        if worst is None:
-            check("eigenvalue_geometric_max_rel_dev", "geometric", None, "no eigenpairs")
-        else:
-            check("eigenvalue_geometric_max_rel_dev", "geometric", worst)
-        if len(pairs) >= 2:
-            gap_numeric = abs(pairs[1].value) / abs(pairs[0].value)
-
-    if gap_numeric is not None:
+        check("eigenvalue_geometric_max_rel_dev", "geometric", no_pairs)
+    if len(pairs) >= 2:
+        gap_numeric = abs(pairs[1].value) / abs(pairs[0].value)
         lines.append(f"gap_ratio_numeric = {_fmt(gap_numeric)}")
     lines.append(f"gap_ratio_closed_form = {_fmt(coeffs.abs_exp_c)}")
     lines.append(REFERENCE_GAP_RATIO_NOTE)

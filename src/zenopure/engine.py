@@ -553,15 +553,11 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
     n_list = [int(n) for n in n_values]
     if not n_list or any(n < 1 for n in n_list):
         raise ValueError("n_values must be a nonempty sequence of integers >= 1")
-    if phi.dim != sys.dim_a:
-        raise ValueError(
-            f"probe dimension {phi.dim} does not match dim_a {sys.dim_a}"
-        )
+    contraction = contract_probe(sys, phi)
     if rho0.dim != sys.dim_b:
         raise ValueError(
             f"state dimension {rho0.dim} does not match dim_b {sys.dim_b}"
         )
-    contraction = contract_probe(sys, phi)
     eye = np.eye(sys.dim_b)
 
     def point(n: int) -> ZenoScanPoint:

@@ -45,6 +45,18 @@ ZENO_SCAN_CONFIG = (
     + "n_values = [1, 2, 4, 8, 16, 32]\n"
 )
 
+_TUNED = 'tuned_m = 1\ntuned_branch = "plus"\n'
+#: Uncoupled modes: |e^C| = 1, so V's spectrum has no magnitude gap.
+NO_GAP_CONFIG = (
+    FIG1_CONFIG.replace(_TUNED, "").replace("g = 0.2", "g = 0")
+    .replace("big_omega = 1", "big_omega = 2") + "tau = 1.0\n"
+)
+#: 1 - |e^C| = 9.7e-8: above compare's 1e-9 gap threshold, below the
+#: eigensolver's tie gap, so V's leading pairs are tied.
+NEAR_TIE_CONFIG = FIG1_CONFIG.replace(_TUNED, "") + "tau = 0.0022\n"
+#: A hot B mode whose displaced thermal state reaches the cutoff.
+THERMAL_TAIL_CONFIG = FIG1_CONFIG.replace("beta = 1\n", "beta = 0.1\n")
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
@@ -738,9 +750,9 @@ def test_bad_and_missing_config_exit_one(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: unknown keys in [model]: ['outputs']\n")
 
 
-def count_calls(monkeypatch, name):
-    """Record the result of every call to linalg's ``name``, under any alias."""
-    original = getattr(linalg, name)
+def count_calls(monkeypatch, name, home=linalg):
+    """Record the result of every call to ``home``'s ``name``, under any alias."""
+    original = getattr(home, name)
     results = []
 
     def counted(*args, **kwargs):
@@ -753,26 +765,37 @@ def count_calls(monkeypatch, name):
     return results
 
 
-@pytest.mark.parametrize("command, exit_code, spectrum_solves", [
-    ("figure1", 0, 0), ("spectrum", 0, 1), ("purify", 0, 0), ("compare", 3, 1), ("zeno", 0, 0),
-])
-def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, command,
-                                             exit_code, spectrum_solves):
-    # One search of H's pattern, one eigendecomposition per block found and
-    # at most one solve of V's spectrum, whatever the command. At cutoff 12
-    # compare breaches on truncation, which it reports with exit code 3.
+@pytest.mark.parametrize("command, config, exit_code, blocks, spectrum_solves, builds", [
+    ("figure1", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 1),
+    ("spectrum", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 1, 1),
+    ("purify", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 1),
+    ("compare", ZENO_SCAN_CONFIG, 3, 2 * 12 - 1, 1, 1),
+    ("zeno", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 0),
+    ("compare", NO_GAP_CONFIG, 3, 12 * 12, 1, 1),
+], ids=["figure1", "spectrum", "purify", "compare", "zeno", "compare-no-gap"])
+def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, command, config,
+                                             exit_code, blocks, spectrum_solves, builds):
+    # One search of H's pattern, one eigendecomposition per block found, at
+    # most one V, formed by build_projected_propagator, and at most one solve
+    # of V's spectrum, whatever the command. The coupled model has one block
+    # per total excitation number; uncoupled modes split into single states
+    # and give V no magnitude gap, so compare skips its geometric check, and
+    # its one solve is run_purification's default fidelity target. At cutoff
+    # 12 compare breaches on truncation, which it reports with exit code 3.
     searches = count_calls(monkeypatch, "_coupled_blocks")
     decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
     solves = count_calls(monkeypatch, "top_k_eigenpairs")
+    propagators = count_calls(monkeypatch, "build_projected_propagator", home=engine)
     argv = [command, "--cutoff", "12"]
     if command != "figure1":
-        argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
+        argv += ["--config", write(tmp_path, config)]
     code, _, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert len(searches) == 1
-    assert len(searches[0]) == 2 * 12 - 1  # one block per total excitation number
+    assert len(searches[0]) == blocks
     assert len(decompositions) == len(searches[0])
     assert len(solves) == spectrum_solves
+    assert len(propagators) == builds
 
 
 def test_purify_solves_tied_propagator_once(tmp_path, capsys, monkeypatch):
@@ -871,6 +894,23 @@ def test_golden_zeno_scan(tmp_path, capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("config, argv, exit_code, golden", [
+    (FIG1_CONFIG, ["--cutoff", "30"], 0, "compare_reference.txt"),
+    (FIG1_CONFIG, ["--cutoff", "6"], 3, "compare_cutoff_6.txt"),
+    (THERMAL_TAIL_CONFIG, ["--cutoff", "30"], 3, "compare_thermal_tail.txt"),
+    (NO_GAP_CONFIG, [], 0, "compare_no_gap.txt"),
+    (NEAR_TIE_CONFIG, [], 3, "compare_no_eigenpairs.txt"),
+], ids=["reference", "cutoff-6", "thermal-tail", "no-gap", "no-eigenpairs"])
+def test_golden_compare(tmp_path, capsys, config, argv, exit_code, golden):
+    # One case per branch: every check runs and passes; the probe's cutoff
+    # is refused, so no V exists for the checks that need one; the
+    # closed-form trajectory is refused at its boundary; the geometric check
+    # is skipped without a magnitude gap; and it is refused on tied pairs.
+    code, out, err = run_cli(capsys, "compare", "--config", write(tmp_path, config), *argv)
+    assert (code, err) == (exit_code, "")
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
 def fresh_process(args, env_overrides=None):
     """Run Python in a fresh interpreter that imports this checkout's zenopure."""
     env = dict(os.environ, **(env_overrides or {}))
@@ -896,7 +936,8 @@ def test_output_independent_of_blas_threads(tmp_path, command):
     outputs = {threads: run_fresh(argv, {"OPENBLAS_NUM_THREADS": threads})
                for threads in ("1", "2")}
     assert outputs["1"] == outputs["2"]
-    golden = {"figure1": "figure1.csv", "zeno": "zeno_scan.csv"}.get(command)
+    golden = {"figure1": "figure1.csv", "zeno": "zeno_scan.csv",
+              "compare": "compare_reference.txt"}.get(command)
     if golden is not None:
         assert outputs["1"] == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
@@ -948,6 +989,8 @@ def test_tol_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZENOPURE_TOL", "banana")
     code, _, err = run_cli(capsys, "compare", "--config", cfg)
     assert code == 1 and "ZENOPURE_TOL" in err
-    monkeypatch.setenv("ZENOPURE_TOL", "-1")
-    code, _, err = run_cli(capsys, "compare", "--config", cfg)
-    assert code == 1 and "ZENOPURE_TOL" in err
+    for raw in ("-1", "nan"):
+        monkeypatch.setenv("ZENOPURE_TOL", raw)
+        for command in ("compare", "spectrum"):
+            code, out, err = run_cli(capsys, command, "--config", cfg)
+            assert (code, out, err) == (1, "", "error: ZENOPURE_TOL must be positive\n")

@@ -671,3 +671,12 @@ def test_zeno_scan_validation():
         zeno_limit_scan(sys_, phi, rho0, 1.0, [])
     with pytest.raises(ValueError):
         zeno_limit_scan(sys_, phi, rho0, 1.0, [0, 2])
+    # A probe mismatch is reported before a state mismatch.
+    short_probe = ProbeState(np.array([1.0, 0.0]))
+    small_state = DensityMatrix(np.eye(2) / 2)
+    with pytest.raises(ValueError) as probe_info:
+        zeno_limit_scan(sys_, short_probe, small_state, 1.0, [1])
+    assert str(probe_info.value) == f"probe dimension 2 does not match dim_a {sys_.dim_a}"
+    with pytest.raises(ValueError) as state_info:
+        zeno_limit_scan(sys_, phi, small_state, 1.0, [1])
+    assert str(state_info.value) == f"state dimension 2 does not match dim_b {sys_.dim_b}"
