@@ -114,6 +114,7 @@ def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> 
     The oscillator probe stays unbuilt here and ``_probe`` builds it on use.
     Only compare needs that: it reports a cutoff too small for the probe as
     a refused check (exit code 3), where the other commands refuse the input.
+    A cutoff override is refused for an explicit model, which has no cutoff.
     """
     if cfg.kind == "oscillator":
         params = _resolve_params(cfg, cutoff)
@@ -123,6 +124,8 @@ def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> 
             rho0=osc.thermal_state(params.beta, params.omega, params.n_max_b),
             tau=params.tau,
         )
+    if cutoff is not None:
+        raise ConfigError("--cutoff applies only to the oscillator model")
     if cfg.hamiltonian_file is not None:
         path = os.path.join(config_dir, cfg.hamiltonian_file)
         dim_a, dim_b, matrix = load_matrix_file(path)

@@ -44,7 +44,9 @@ class ExperimentConfig:
     interval (tuned_m periods of the plus or minus normal mode). For
     "explicit" exactly one of hamiltonian_file (with probe and tau) or
     propagator_file is set; file paths are resolved relative to the config
-    file by the loader.
+    file by the loader. A key the chosen model would ignore is refused: an
+    explicit model takes none of the oscillator parameters, and only a
+    hamiltonian_file takes a probe.
     """
 
     kind: str
@@ -83,6 +85,8 @@ class ExperimentConfig:
             for name in ("omega", "g", "alpha", "beta"):
                 if getattr(self, name) is None:
                     raise ConfigError(f"oscillator model is missing {name!r}")
+            if self.probe is not None:
+                raise ConfigError("oscillator model does not take a probe vector")
             has_tau = self.tau is not None
             has_tuned = self.tuned_m is not None or self.tuned_branch is not None
             if has_tau == has_tuned:
@@ -95,7 +99,9 @@ class ExperimentConfig:
                 if self.tuned_branch not in ("plus", "minus"):
                     raise ConfigError("tuned_branch must be 'plus' or 'minus'")
         else:
-            if self.big_omega is not None:
+            oscillator_only = ("big_omega", "omega", "g", "alpha", "beta",
+                               "tuned_m", "tuned_branch")
+            if any(getattr(self, name) is not None for name in oscillator_only):
                 raise ConfigError("explicit model must not carry oscillator parameters")
             if self.hamiltonian_file is not None:
                 if self.probe is None:

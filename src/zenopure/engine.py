@@ -21,9 +21,7 @@ import numpy as np
 from .linalg import (
     HermitianBlock,
     TopKResult,
-    _block_asymmetry,
-    _coupled_blocks,
-    _cut_blocks,
+    _checked_blocks,
     _decompose_blocks,
     top_k_eigenpairs,
 )
@@ -80,12 +78,13 @@ class BipartiteSystem:
     A system is built from the dense H, ``BipartiteSystem(dim_a, dim_b,
     hamiltonian)``, or from the diagonal blocks outside which H is zero,
     ``BipartiteSystem.from_blocks``, which never forms a D x D array. Either
-    way H is checked once, when the system is built: shapes, finiteness,
-    then one search of its nonzero pattern for the coupled blocks (the
-    connected components, ``block_indices``, ascending and ordered by their
-    smallest index, the same sets in the same order for either
-    constructor) and their matrices (``block_matrices``), over which the
-    symmetry bound ||H - H†||_F <= 1e-9 ||H||_F is summed. The system owns
+    way H is checked once, when the system is built: shapes and finiteness
+    here, then ``linalg._checked_blocks`` searches its nonzero pattern once
+    for the coupled blocks (the connected components, ``block_indices``,
+    ascending and ordered by their smallest index, the same sets in the same
+    order for either constructor), cuts out their matrices
+    (``block_matrices``) and sums the symmetry bound ||H - H†||_F <= 1e-9
+    ||H||_F over them, raising ``linalg.NotHermitian`` past it. The system owns
     those blocks: ``blocks`` eigendecomposes each of them once, on first
     use, and every propagator of the system is built from that one
     decomposition. A one-block H is kept as given, not copied.
@@ -149,11 +148,7 @@ class BipartiteSystem:
         return system
 
     def _own_blocks(self, dim_a: int, dim_b: int, parts) -> None:
-        found = _coupled_blocks(parts)
-        matrices = _cut_blocks(parts, found)
-        dev, scale = _block_asymmetry(matrices)
-        if dev > 1e-9 * max(scale, 1e-300):
-            raise ValueError(f"hamiltonian is not Hermitian (deviation {dev:.3e})")
+        found, matrices = _checked_blocks(parts)
         vars(self).update(dim_a=dim_a, dim_b=dim_b, block_indices=tuple(found),
                           block_matrices=tuple(matrices))
 

@@ -10,14 +10,15 @@ block. A conserved quantity such as a total excitation number therefore
 turns one D x D problem into many small ones; a fully coupled matrix is a
 single block and is decomposed as it stands.
 
-A matrix is checked once, block by block: its pattern is searched once
-(``_coupled_blocks``, from the dense matrix or from diagonal blocks it is
-known to be zero outside), the blocks found are cut out (``_cut_blocks``),
-the symmetry bound ||m - m†||_F <= 1e-9 ||m||_F is summed over them
-(``_block_asymmetry``), and they are then decomposed without testing them
-again (``_decompose_blocks``). ``block_eigendecompose`` does all of it for a
-raw matrix; ``engine.BipartiteSystem`` does all but the last when it is
-built, keeps the blocks, and decomposes them on first use.
+A matrix is checked once, block by block, by ``_checked_blocks``: its
+pattern is searched once (``_coupled_blocks``, from the dense matrix or
+from diagonal blocks it is known to be zero outside), the blocks found are
+cut out (``_cut_blocks``), and the symmetry bound ||m - m†||_F <= 1e-9
+||m||_F is summed over them (``_block_asymmetry``, ``_check_hermitian``,
+the one place that raises NotHermitian). The blocks are then decomposed
+without testing them again (``_decompose_blocks``). ``block_eigendecompose``
+does both for a raw matrix; ``engine.BipartiteSystem`` checks its blocks
+when it is built, keeps them, and decomposes them on first use.
 
 The eigenpair routines take the whole spectrum from one LAPACK ``eig``
 (``numpy.linalg.eig``; importing scipy would cost every fresh process far
@@ -39,7 +40,6 @@ import numpy as np
 __all__ = [
     "NotHermitian",
     "NoConvergence",
-    "HermitianEigenDecomposition",
     "HermitianBlock",
     "EigenPair",
     "TopKResult",
@@ -98,21 +98,9 @@ def _as_square(m) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HermitianEigenDecomposition:
-    """Spectral factorization M = Q diag(E) Q† of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvectors holds the corresponding
-    orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class HermitianBlock:
     """One diagonal block of a Hermitian matrix that no nonzero entry couples
-    to the rest of it.
+    to the rest of it, or the whole matrix, whose indices are arange(n).
 
     indices are the block's rows (and columns) of the full matrix, ascending;
     eigenvalues and eigenvectors decompose the block itself, so eigenvectors
@@ -154,13 +142,13 @@ class TopKResult:
 def _check_hermitian(dev: float, scale: float) -> None:
     """Raise NotHermitian unless dev = ||m - m†||_F <= 1e-9 ||m||_F = 1e-9 scale."""
     if dev > 1e-9 * max(scale, _UNDERFLOW):
-        raise NotHermitian(
-            f"matrix is not Hermitian: ||m - m†||/||m|| = {dev / max(scale, _UNDERFLOW):.3e}"
-        )
+        raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev:.3e})")
 
 
-def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianEigenDecomposition:
+def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianBlock:
     """Eigendecompose a Hermitian matrix into ascending eigenvalues.
+
+    The result is the matrix as one block, on the indices arange(n).
 
     m must be finite and pass the symmetry check ||m - m†||_F <= 1e-9
     ||m||_F; anything beyond truncation-arithmetic noise is rejected.
@@ -191,7 +179,7 @@ def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianEigenDecom
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
-    return HermitianEigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return HermitianBlock(np.arange(a.shape[0]), vals, vecs)
 
 
 def _pattern_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,14 +275,28 @@ def _block_asymmetry(matrices) -> tuple[float, float]:
     return float(np.sqrt(dev)), float(np.sqrt(scale))
 
 
+def _checked_blocks(parts) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The index sets ``_coupled_blocks(parts)`` finds and the matrices
+    ``_cut_blocks`` cuts for them, after the symmetry bound, summed over
+    them, is checked. The blocks must be finite.
+
+    Raises NotHermitian when ||m - m†||_F > 1e-9 ||m||_F for the matrix m
+    the parts make up.
+    """
+    found = _coupled_blocks(parts)
+    matrices = _cut_blocks(parts, found)
+    _check_hermitian(*_block_asymmetry(matrices))
+    return found, matrices
+
+
 def _decompose_blocks(found, matrices) -> tuple[HermitianBlock, ...]:
     """Eigendecompose the blocks ``matrices`` on the index sets ``found``,
-    already checked.
+    as ``_checked_blocks`` returns them.
 
-    The caller has found every block finite and their ``_block_asymmetry``
-    within the bound, so each block goes to ``hermitian_eigendecompose``
-    unchecked: a block's asymmetry may be large against its own small norm
-    and still within the bound for the whole matrix.
+    Every block is finite and their summed asymmetry within the bound, so
+    each goes to ``hermitian_eigendecompose`` unchecked: a block's
+    asymmetry may be large against its own small norm and still within the
+    bound for the whole matrix.
     """
     out = []
     for idx, s in zip(found, matrices):
@@ -315,11 +317,7 @@ def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:
     as it stands, without copying it out.
     """
     a = _as_square(m)
-    parts = [(np.arange(a.shape[0]), a)]
-    found = _coupled_blocks(parts)
-    matrices = _cut_blocks(parts, found)
-    _check_hermitian(*_block_asymmetry(matrices))
-    return _decompose_blocks(found, matrices)
+    return _decompose_blocks(*_checked_blocks([(np.arange(a.shape[0]), a)]))
 
 
 def _block_selection(groups, d: int, indices):

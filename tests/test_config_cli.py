@@ -226,6 +226,37 @@ def test_parse_rejects(text):
         parse_config(text)
 
 
+EXPLICIT_H = '[model]\nkind = "explicit"\nhamiltonian_file = "h.mat"\nprobe_re = [1, 0]\ntau = 0.5\n'
+EXPLICIT_V = '[model]\nkind = "explicit"\npropagator_file = "v.mat"\n'
+CARRIES_OSCILLATOR_KEYS = "explicit model must not carry oscillator parameters"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[model]\nkind = "oscillator"\nhamiltonian_file = "h.mat"\n',
+     "oscillator model needs inline parameters"),
+    (FIG1_CONFIG.replace("g = 0.2\n", ""), "oscillator model is missing 'g'"),
+    (FIG1_CONFIG.replace("g = 0.2", "g ="), "empty value for 'g' (line 5)"),
+    (FIG1_CONFIG.replace('kind = "oscillator"\n', ""), "[model] is missing required key 'kind'"),
+    (EXPLICIT_H.replace("probe_re = [1, 0]", "probe_re = 1"), "key 'probe_re' must be a list"),
+    # Keys the chosen model would ignore.
+    (FIG1_CONFIG + "probe_re = [1, 0]\n", "oscillator model does not take a probe vector"),
+    (EXPLICIT_H + "g = 0.2\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + "omega = 1\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + "beta = 1\nalpha_re = 3\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + "alpha_im = 3\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + "tuned_m = 1\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + 'tuned_branch = "plus"\n', CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_V + "g = 0.2\n", CARRIES_OSCILLATOR_KEYS),
+], ids=["oscillator_without_inline", "missing_g", "empty_value", "missing_kind",
+        "probe_not_list", "oscillator_probe", "explicit_g", "explicit_omega",
+        "explicit_beta_alpha", "explicit_alpha_im", "explicit_tuned_m",
+        "explicit_tuned_branch", "propagator_g"])
+def test_parse_refusals_word_for_word(text, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(text)
+    assert str(caught.value) == message
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.cfg"))
@@ -693,7 +724,14 @@ REFUSED_CONFIGS = {
     "g_nan": FIG1_CONFIG.replace("g = 0.2", "g = nan"),
     "alpha_nan": ZENO_SCAN_CONFIG.replace("alpha_re = 0.5", "alpha_re = nan"),
     "beta_nan": FIG1_CONFIG.replace("beta = 1", "beta = nan"),
+    # Both read h.mat, a 2x2 (D = 4) H that is not Hermitian.
+    "not_hermitian": EXPLICIT_H,
+    "wide_propagator": EXPLICIT_V.replace("v.mat", "h.mat"),
 }
+
+#: diag(0, 1, 2, 3) with H[0, 1] = 0.5 and H[1, 0] = 0: ||H - H†||_F = 0.5 sqrt(2).
+NOT_HERMITIAN_H = np.diag([0.0, 1.0, 2.0, 3.0])
+NOT_HERMITIAN_H[0, 1] = 0.5
 
 
 @pytest.mark.parametrize("command, config, steps, message", [
@@ -713,10 +751,15 @@ REFUSED_CONFIGS = {
     ("purify", "beta_nan", None, "state contains non-finite entries"),
     ("compare", "beta_nan", None, "state contains non-finite entries"),
     ("zeno", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
+    ("spectrum", "not_hermitian", None, "hamiltonian is not Hermitian (deviation 7.071e-01)"),
+    ("spectrum", "wide_propagator", None, "a propagator file must declare dim_a = 1"),
 ])
 def test_refused_value_is_one_error_line(tmp_path, capsys, command, config, steps, message):
-    argv = [command, "--cutoff", "14"]
+    argv = [command]
+    if config is None or "oscillator" in REFUSED_CONFIGS[config]:
+        argv += ["--cutoff", "14"]  # an explicit model has no cutoff to override
     if config is not None:
+        save_matrix_file(str(tmp_path / "h.mat"), 2, 2, NOT_HERMITIAN_H)
         argv += ["--config", write(tmp_path, REFUSED_CONFIGS[config])]
     if steps is not None:
         argv += ["--steps", steps]
@@ -844,6 +887,22 @@ def test_subcommand_refuses_option_it_ignores(tmp_path, capsys, command, option)
         cli.main([command, "--config", cfg, *option])
     assert exit_info.value.code == 2
     assert f"error: unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, source", [
+    ("spectrum", "hamiltonian"), ("purify", "hamiltonian"), ("zeno", "hamiltonian"),
+    ("spectrum", "propagator"), ("purify", "propagator"),
+])
+def test_explicit_model_refuses_cutoff(tmp_path, capsys, command, source):
+    # An explicit model has no Fock cutoff for --cutoff to override.
+    if source == "hamiltonian":
+        cfg = decoupled_hamiltonian_config(tmp_path)
+    else:
+        save_matrix_file(str(tmp_path / "v.mat"), 1, 2, np.diag([0.9, 0.5]))
+        cfg = write(tmp_path, EXPLICIT_V)
+    assert run_cli(capsys, command, "--config", cfg)[2] == ""
+    assert run_cli(capsys, command, "--config", cfg, "--cutoff", "5") == (
+        1, "", "error: --cutoff applies only to the oscillator model\n")
 
 
 @pytest.mark.parametrize("command, exit_code", [

@@ -124,7 +124,7 @@ def test_bipartite_system_refuses_non_finite_before_block_search(monkeypatch, ba
     def no_search(a):
         raise AssertionError("the block search ran on a non-finite H")
 
-    monkeypatch.setattr(engine, "_coupled_blocks", no_search)
+    monkeypatch.setattr(linalg, "_coupled_blocks", no_search)
     h = np.eye(4, dtype=complex)
     h[1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -206,7 +206,7 @@ def test_from_blocks_refuses_non_finite_before_block_search(monkeypatch, bad):
     def no_search(parts):
         raise AssertionError("the block search ran on a non-finite H")
 
-    monkeypatch.setattr(engine, "_coupled_blocks", no_search)
+    monkeypatch.setattr(linalg, "_coupled_blocks", no_search)
     block = np.eye(2, dtype=complex)
     block[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -270,6 +270,35 @@ def test_value_refusals_print_plain_floats(build, message):
     with pytest.raises(ValueError, match=message) as refused:
         build()
     assert "np." not in str(refused.value)
+
+
+HALF_MIXED = DensityMatrix(np.eye(2) / 2)
+HALF_V = ProjectedPropagator(matrix=np.eye(2) / 2, tau=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BipartiteSystem(dim_a=0, dim_b=2, hamiltonian=np.eye(0)),
+     "dimensions must be positive"),
+    (lambda: BipartiteSystem.from_blocks(2, 0, []), "dimensions must be positive"),
+    (lambda: ProjectedPropagator(matrix=np.ones((2, 3)) / 3, tau=1.0),
+     "propagator must be square, got shape (2, 3)"),
+    (lambda: ProjectedPropagator(matrix=np.eye(2) / 2, tau=-1.0), "tau must be nonnegative"),
+    (lambda: DensityMatrix(np.ones(2) / 2), "state must be square, got shape (2,)"),
+    (lambda: evolve_step(DensityMatrix(np.eye(3) / 3), HALF_V),
+     "state dim 3 does not match propagator dim 2"),
+    (lambda: survival_probability(HALF_MIXED, HALF_V, -1), "n must be nonnegative"),
+    (lambda: survival_probability(DensityMatrix(np.eye(3) / 3), HALF_V, 1),
+     "state dim 3 does not match propagator dim 2"),
+    (lambda: fidelity(HALF_MIXED, np.array([1.0, 0.0, 0.0])),
+     "vector dim 3 does not match state dim 2"),
+    (lambda: fidelity(HALF_MIXED, np.array([1.0, 1.0])), "target state must be unit-norm"),
+], ids=["dense_dimensions", "block_dimensions", "propagator_square", "negative_tau",
+        "state_square", "evolve_dims", "negative_n", "survival_dims", "fidelity_dims",
+        "fidelity_norm"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 # ------------------------------------------------------------- propagator

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenopure.linalg import (
+    DEFAULT_TOL,
     NoConvergence,
     NotHermitian,
+    TopKResult,
     block_eigendecompose,
     dominant_eigenpair,
     hermitian_eigendecompose,
@@ -312,6 +314,16 @@ def test_near_defective_pair_refused_by_overlap():
         dominant_eigenpair(m)
     found = top_k_eigenpairs(m, 2)
     assert found.truncated and found.pairs == ()
+
+
+def test_pair_refused_above_residual_tolerance():
+    # Eigenvalues 1e7 apart leave a dominant pair that clears the gap and
+    # overlap tests but whose residual, about 4e-9, exceeds DEFAULT_TOL.
+    m = 1e7 * np.triu(np.random.default_rng(0).standard_normal((40, 40)))
+    with pytest.raises(NoConvergence, match=r"^residual \S+ above tolerance 1\.0e-10$") as refused:
+        dominant_eigenpair(m)
+    assert refused.value.residual > DEFAULT_TOL
+    assert top_k_eigenpairs(m, 1) == TopKResult(pairs=(), truncated=True)
 
 
 def test_top_k_diagonal():

@@ -2,6 +2,7 @@
 
 
 import ctypes
+import dataclasses
 
 import numpy as np
 import pytest
@@ -414,6 +415,8 @@ def test_closed_form_rho_matches_engine_off_tuning():
 def test_closed_form_rho_validation():
     with pytest.raises(ValueError):
         closed_form_rho(REFERENCE, -1)
+    with pytest.raises(ValueError, match=r"^beta \* omega must be positive$"):
+        closed_form_rho(dataclasses.replace(REFERENCE, omega=-1.0), 1)
 
 
 # ----------------------------------------------------------- propagators
