@@ -145,7 +145,7 @@ def _build_model(cfg: ExperimentConfig, config_dir: str, cutoff: int | None) -> 
     dim_a, dim_b, matrix = load_matrix_file(path)
     if dim_a != 1:
         raise ConfigError("a propagator file must declare dim_a = 1")
-    fixed = engine.ProjectedPropagator(matrix=matrix, tau=cfg.tau if cfg.tau else 0.0)
+    fixed = engine.ProjectedPropagator(matrix=matrix, tau=0.0)
     return _Model(fixed_v=fixed, rho0=_maximally_mixed(dim_b), tau=fixed.tau)
 
 

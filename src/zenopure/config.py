@@ -16,6 +16,8 @@ propagator file (header "1 dim_b") for spectra of explicit contractions.
 
 from __future__ import annotations
 
+import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -45,8 +47,10 @@ class ExperimentConfig:
     "explicit" exactly one of hamiltonian_file (with probe and tau) or
     propagator_file is set; file paths are resolved relative to the config
     file by the loader. A key the chosen model would ignore is refused: an
-    explicit model takes none of the oscillator parameters, and only a
-    hamiltonian_file takes a probe.
+    explicit model takes none of the oscillator parameters (the cutoffs
+    n_max_a and n_max_b included, which default to 30 for the oscillator
+    model only), only a hamiltonian_file takes a probe, and a
+    propagator_file takes no tau.
     """
 
     kind: str
@@ -58,8 +62,8 @@ class ExperimentConfig:
     tau: float | None = None
     tuned_m: int | None = None
     tuned_branch: str | None = None
-    n_max_a: int = 30
-    n_max_b: int = 30
+    n_max_a: int | None = None
+    n_max_b: int | None = None
     n_steps: int = 30
     total_time: float | None = None
     n_values: tuple[int, ...] | None = None
@@ -98,9 +102,14 @@ class ExperimentConfig:
                     raise ConfigError("tuned_m must be a positive integer")
                 if self.tuned_branch not in ("plus", "minus"):
                     raise ConfigError("tuned_branch must be 'plus' or 'minus'")
+            for name in ("n_max_a", "n_max_b"):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, 30)
+            if self.n_max_a < 1 or self.n_max_b < 1:
+                raise ConfigError("cutoffs must be positive")
         else:
             oscillator_only = ("big_omega", "omega", "g", "alpha", "beta",
-                               "tuned_m", "tuned_branch")
+                               "tuned_m", "tuned_branch", "n_max_a", "n_max_b")
             if any(getattr(self, name) is not None for name in oscillator_only):
                 raise ConfigError("explicit model must not carry oscillator parameters")
             if self.hamiltonian_file is not None:
@@ -108,10 +117,11 @@ class ExperimentConfig:
                     raise ConfigError("hamiltonian_file needs a probe vector")
                 if self.tau is None:
                     raise ConfigError("hamiltonian_file needs tau")
-            if self.propagator_file is not None and self.probe is not None:
-                raise ConfigError("propagator_file does not take a probe vector")
-        if self.n_max_a < 1 or self.n_max_b < 1:
-            raise ConfigError("cutoffs must be positive")
+            if self.propagator_file is not None:
+                if self.probe is not None:
+                    raise ConfigError("propagator_file does not take a probe vector")
+                if self.tau is not None:
+                    raise ConfigError("propagator_file does not take tau")
         if self.total_time is not None and self.total_time <= 0:
             raise ConfigError("total_time must be positive")
         if self.n_values is not None:
@@ -262,8 +272,8 @@ def parse_config(text: str) -> ExperimentConfig:
         tau=_take(raw, "tau", (int, float), float),
         tuned_m=_take(raw, "tuned_m", int),
         tuned_branch=_take(raw, "tuned_branch", str),
-        n_max_a=_take(raw, "n_max_a", int, default=30),
-        n_max_b=_take(raw, "n_max_b", int, default=30),
+        n_max_a=_take(raw, "n_max_a", int),
+        n_max_b=_take(raw, "n_max_b", int),
         n_steps=_take(raw, "n_steps", int, default=30),
         total_time=_take(raw, "total_time", (int, float), float),
         n_values=_take_number_list(raw, "n_values", as_int=True),
@@ -302,8 +312,9 @@ def emit_config(cfg: ExperimentConfig) -> str:
     if cfg.tuned_m is not None:
         lines.append(f"tuned_m = {cfg.tuned_m}")
         lines.append(f'tuned_branch = "{cfg.tuned_branch}"')
-    lines.append(f"n_max_a = {cfg.n_max_a}")
-    lines.append(f"n_max_b = {cfg.n_max_b}")
+    if cfg.kind == "oscillator":
+        lines.append(f"n_max_a = {cfg.n_max_a}")
+        lines.append(f"n_max_b = {cfg.n_max_b}")
     lines.append(f"n_steps = {cfg.n_steps}")
     if cfg.total_time is not None:
         put("total_time", cfg.total_time)
@@ -329,27 +340,106 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _parse_numbers(text: str, count: int) -> np.ndarray:
-    """Return the float() of each whitespace-separated token of text, as an array.
+#: Bytes a matrix file is read in at a time; the loader holds no more of
+#: its text than a few of these.
+_CHUNK_BYTES = 1 << 16
+
+#: The bytes that separate tokens for both bytes.split() and np.fromstring.
+_ASCII_SPACE = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")
+
+
+def _token_runs(fh):
+    """The bytes of the binary file fh, _CHUNK_BYTES at a time, each run cut
+    after its last ASCII whitespace byte so that no token is split between
+    two runs; what follows the cut starts the next run. Runs may be empty."""
+    carry = b""
+    while chunk := fh.read(_CHUNK_BYTES):
+        run = carry + chunk
+        cut = max(map(run.rfind, _ASCII_SPACE)) + 1
+        carry = run[cut:]
+        yield run[:cut]
+    yield carry
+
+
+def _parse_numbers(runs, count: int) -> np.ndarray | None:
+    """The float() of each whitespace-separated token in the byte runs, as one
+    array of count values, parsed a run at a time; or None when the result
+    might not be float()'s.
 
     np.fromstring parses with the same correctly rounded routine as float(),
-    in one C pass and without a Python object per token. It disagrees with
-    float() at the edges: it returns [-1.] for whitespace-only text, accepts
-    "nan(1)", rejects "1_0", NBSP separators and non-ASCII digits, and older
-    numpy returns a partial array with a warning on unmatched data. So its
-    result stands only when it neither raised nor warned, is all finite and
-    holds the count values the caller expects; otherwise the token loop
-    decides, with float()'s values and its ValueError.
+    in one C pass and without a Python object per token, into an array
+    allocated once. It disagrees with float() at the edges: it returns [-1.]
+    for whitespace-only text (such runs are skipped), accepts "nan(1)",
+    rejects "1_0", NBSP and the other non-ASCII separators and digits, and
+    older numpy returns a partial array with a warning on unmatched data. So
+    the result stands only when every run is ASCII, none raised or warned,
+    every value is finite and exactly count values were read; otherwise None
+    sends the caller to the token loop, with float()'s values and its
+    ValueError.
     """
+    values = np.empty(count)
+    filled = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            if not run.isascii():
+                return None
+            if not run or run.isspace():
+                continue
+            try:
+                part = np.fromstring(run, dtype=float, sep=" ")
+            except (ValueError, Warning):
+                return None
+            if filled + part.size > count or not np.isfinite(part).all():
+                return None
+            values[filled:filled + part.size] = part
+            filled += part.size
+    return values if filled == count else None
+
+
+def _load_chunked(fh) -> tuple[int, int, np.ndarray] | None:
+    """(dim_a, dim_b, numbers) of the binary matrix file fh, read and parsed
+    a chunk at a time; or None when the header is not two ASCII-digit
+    tokens of positive dimensions, the file is too short to hold the
+    2 (dim_a dim_b)^2 numbers they ask for, or ``_parse_numbers`` cannot
+    vouch for its result."""
+    runs = _token_runs(fh)
+    head = b""
+    for run in runs:
+        head = (head + run).lstrip()
+        fields = head.split(None, 2)
+        if len(fields) >= 2:
+            break
+    else:
+        return None
+    if not (fields[0].isdigit() and fields[1].isdigit()):
+        return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values = np.fromstring(text, dtype=float, sep=" ")
-    except (ValueError, Warning):
-        values = None
-    if values is not None and values.size == count and np.isfinite(values).all():
-        return values
-    return np.array([float(t) for t in text.split()], dtype=float)
+        dim_a, dim_b = int(fields[0]), int(fields[1])
+    except ValueError:  # more digits than int() converts
+        return None
+    count = 2 * (dim_a * dim_b) ** 2
+    # count tokens take at least 2 count - 1 bytes: a larger header is
+    # refused by the token loop, without allocating count values first.
+    if dim_a < 1 or dim_b < 1 or 2 * count - 1 > os.fstat(fh.fileno()).st_size:
+        return None
+    values = _parse_numbers(itertools.chain(fields[2:], runs), count)
+    return None if values is None else (dim_a, dim_b, values)
+
+
+def _as_complex(values: np.ndarray, d: int) -> np.ndarray:
+    """The d x d matrix of the row-major re/im pairs in values, each entry
+    re + 1j * im as numpy forms it, written over values a run of entries at
+    a time so that the matrix is held once."""
+    pairs = values.reshape(d * d, 2)
+    matrix = values.view(complex)
+    step = max(1, _CHUNK_BYTES // matrix.itemsize)
+    # 1j * inf is nan+infj, and the matrix is refused as non-finite where used.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, d * d, step):
+            run = slice(start, start + step)
+            matrix[run] = pairs[run, 0] + 1j * pairs[run, 1]
+    return matrix.reshape(d, d)
 
 
 def load_matrix_file(path: str) -> tuple[int, int, np.ndarray]:
@@ -357,31 +447,43 @@ def load_matrix_file(path: str) -> tuple[int, int, np.ndarray]:
 
     Returns (dim_a, dim_b, matrix) where the matrix has dimension
     dim_a*dim_b and entries are row-major in the file.
+
+    The file is read and parsed a chunk at a time (``_load_chunked``), into
+    one array that becomes the matrix, so the heap peaks near the matrix's
+    size rather than the text's. Any file that path cannot vouch for (a
+    header that is not two ASCII-digit tokens of positive dimensions, a
+    non-ASCII byte, a token np.fromstring refuses or reads as non-finite, a
+    wrong count of numbers) is read whole and split into tokens instead,
+    each parsed with int() or float(), which decide its values or its
+    refusal.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read().split(None, 2)
+        with open(path, "rb") as fh:
+            loaded = _load_chunked(fh)
+        if loaded is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                head = fh.read().split(None, 2)
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file {path!r}: {exc}") from exc
+    if loaded is not None:
+        dim_a, dim_b, values = loaded
+        return dim_a, dim_b, _as_complex(values, dim_a * dim_b)
     if len(head) < 2:
         raise ConfigError(f"matrix file {path!r} lacks the dimension header")
     try:
         dim_a, dim_b = int(head[0]), int(head[1])
-        d = dim_a * dim_b
-        values = _parse_numbers(head[2] if len(head) > 2 else "", 2 * d * d)
+        body = head[2] if len(head) > 2 else ""
+        values = np.array([float(t) for t in body.split()], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"matrix file {path!r} is not numeric: {exc}") from exc
     if dim_a < 1 or dim_b < 1:
         raise ConfigError(f"matrix file {path!r} has nonpositive dimensions")
+    d = dim_a * dim_b
     if values.size != 2 * d * d:
         raise ConfigError(
             f"matrix file {path!r} holds {values.size} numbers, expected {2 * d * d}"
         )
-    pairs = values.reshape(d * d, 2)
-    # 1j * inf is nan+infj, and the matrix is refused as non-finite where used.
-    with np.errstate(invalid="ignore"):
-        matrix = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
-    return dim_a, dim_b, matrix
+    return dim_a, dim_b, _as_complex(values, d)
 
 
 def save_matrix_file(path: str, dim_a: int, dim_b: int, matrix: np.ndarray) -> None:

@@ -67,6 +67,9 @@ MIN_OVERLAP = 1e-8
 
 _UNDERFLOW = 1e-300
 
+#: Bytes of each run of rows ``_same_bits`` compares at a time.
+_COMPARE_BYTES = 1 << 16
+
 
 class NotHermitian(ValueError):
     """Input matrix fails the Hermitian symmetry check."""
@@ -145,10 +148,24 @@ def _check_hermitian(dev: float, scale: float) -> None:
         raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev:.3e})")
 
 
-def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianBlock:
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the arrays x and y, of one shape and dtype, hold the same
+    bits. They are compared as bytes, _COMPARE_BYTES of rows at a time, so
+    that a large array is never copied whole."""
+    if x.nbytes <= _COMPARE_BYTES:
+        # One run: the loop would add about a microsecond to each of the
+        # many small blocks of a conserved-quantity matrix.
+        return x.tobytes() == y.tobytes()
+    rows = max(1, _COMPARE_BYTES // x[0].nbytes)
+    return all(x[i:i + rows].tobytes() == y[i:i + rows].tobytes()
+               for i in range(0, len(x), rows))
+
+
+def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
     """Eigendecompose a Hermitian matrix into ascending eigenvalues.
 
-    The result is the matrix as one block, on the indices arange(n).
+    The result is the matrix as one block, on the indices arange(n), or on
+    ``indices`` when m is a block of a larger matrix.
 
     m must be finite and pass the symmetry check ||m - m†||_F <= 1e-9
     ||m||_F; anything beyond truncation-arithmetic noise is rejected.
@@ -156,11 +173,21 @@ def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianBlock:
     Parameters
     ----------
     m : array_like, square
-    checked : the caller has already found m finite and within its bound of
-        Hermitian, as ``_decompose_blocks`` has for each block; the
-        finiteness and symmetry tests are skipped.
+    indices : m's rows in the larger matrix it is a block of, ascending, as
+        ``_decompose_blocks`` passes them. That caller has already found the
+        larger matrix finite and within its bound of Hermitian, block by
+        block, so the finiteness and symmetry tests are skipped: a block's
+        asymmetry may be large against its own small norm and still within
+        the bound for the whole matrix.
 
     In either case the Hermitian part (m + m†) / 2 is what is decomposed.
+    When it equals m bit for bit (an exactly Hermitian m does, unless the
+    sign of a zero or an overflowing sum sets them apart), m itself (the
+    caller's own array, if it is complex128) is handed to
+    ``numpy.linalg.eigh`` and the copy is dropped first, so a large block
+    is not held twice through the solve; the result is the same either way.
+    Equal values would not do: LAPACK's Householder step takes the sign of
+    a zero, so a zero of the other sign can change every bit of the result.
 
     Raises
     ------
@@ -169,17 +196,20 @@ def hermitian_eigendecompose(m, *, checked: bool = False) -> HermitianBlock:
     NoConvergence
         if the underlying iteration fails to converge.
     """
-    if checked:
+    if indices is not None:
         a = np.asarray(m, dtype=complex)
     else:
         a = _as_square(m)
         _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a))
+        indices = np.arange(a.shape[0])
     sym = (a + a.conj().T) / 2
+    if _same_bits(sym, a):
+        sym = a
     try:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
-    return HermitianBlock(np.arange(a.shape[0]), vals, vecs)
+    return HermitianBlock(indices, vals, vecs)
 
 
 def _pattern_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,15 +324,9 @@ def _decompose_blocks(found, matrices) -> tuple[HermitianBlock, ...]:
     as ``_checked_blocks`` returns them.
 
     Every block is finite and their summed asymmetry within the bound, so
-    each goes to ``hermitian_eigendecompose`` unchecked: a block's
-    asymmetry may be large against its own small norm and still within the
-    bound for the whole matrix.
+    each goes to ``hermitian_eigendecompose`` with its indices, unchecked.
     """
-    out = []
-    for idx, s in zip(found, matrices):
-        eig = hermitian_eigendecompose(s, checked=True)
-        out.append(HermitianBlock(idx, eig.eigenvalues, eig.eigenvectors))
-    return tuple(out)
+    return tuple(hermitian_eigendecompose(s, indices=idx) for idx, s in zip(found, matrices))
 
 
 def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenopure
-from zenopure import cli, engine, linalg
+from zenopure import cli, config, engine, linalg
 from zenopure import oscillator as osc
 from zenopure.config import (
     ConfigError,
@@ -163,10 +163,37 @@ def oscillator_configs(draw):
     return ExperimentConfig(**kwargs)
 
 
-@given(oscillator_configs())
+@st.composite
+def explicit_configs(draw):
+    kwargs = dict(kind="explicit", n_steps=draw(st.integers(1, 500)))
+    if draw(st.booleans()):
+        kwargs["hamiltonian_file"] = "h.mat"
+        kwargs["probe"] = tuple(complex(draw(finite), draw(finite))
+                                for _ in range(draw(st.integers(1, 4))))
+        kwargs["tau"] = draw(finite)
+    else:
+        kwargs["propagator_file"] = "v.mat"
+    if draw(st.booleans()):
+        kwargs["total_time"] = draw(st.floats(min_value=1e-6, max_value=1e6,
+                                              allow_nan=False))
+        kwargs["n_values"] = tuple(draw(st.lists(st.integers(1, 10 ** 6),
+                                                 min_size=1, max_size=8)))
+    return ExperimentConfig(**kwargs)
+
+
+@given(st.one_of(oscillator_configs(), explicit_configs()))
 @settings(max_examples=150, deadline=None)
 def test_round_trip_hypothesis(cfg):
     assert parse_config(emit_config(cfg)) == cfg
+
+
+def test_cutoffs_default_and_are_written_for_the_oscillator_model_only():
+    explicit = parse_config(EXPLICIT_H)
+    assert explicit.n_max_a is None and explicit.n_max_b is None
+    assert "n_max" not in emit_config(explicit)
+    oscillator = parse_config(FIG1_CONFIG)
+    assert (oscillator.n_max_a, oscillator.n_max_b) == (30, 30)
+    assert "n_max_a = 30\nn_max_b = 30\n" in emit_config(oscillator)
 
 
 BAD_CONFIGS = [
@@ -247,10 +274,17 @@ CARRIES_OSCILLATOR_KEYS = "explicit model must not carry oscillator parameters"
     (EXPLICIT_H + "tuned_m = 1\n", CARRIES_OSCILLATOR_KEYS),
     (EXPLICIT_H + 'tuned_branch = "plus"\n', CARRIES_OSCILLATOR_KEYS),
     (EXPLICIT_V + "g = 0.2\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + "n_max_a = 7\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_H + "n_max_b = 2\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_V + "n_max_a = 30\nn_max_b = 30\n", CARRIES_OSCILLATOR_KEYS),
+    (EXPLICIT_V + "tau = 0.3\n", "propagator_file does not take tau"),
+    (EXPLICIT_V + "tau = -1\n", "propagator_file does not take tau"),
 ], ids=["oscillator_without_inline", "missing_g", "empty_value", "missing_kind",
         "probe_not_list", "oscillator_probe", "explicit_g", "explicit_omega",
         "explicit_beta_alpha", "explicit_alpha_im", "explicit_tuned_m",
-        "explicit_tuned_branch", "propagator_g"])
+        "explicit_tuned_branch", "propagator_g", "explicit_n_max_a",
+        "explicit_n_max_b", "propagator_n_max", "propagator_tau",
+        "propagator_negative_tau"])
 def test_parse_refusals_word_for_word(text, message):
     with pytest.raises(ConfigError) as caught:
         parse_config(text)
@@ -404,6 +438,52 @@ def test_matrix_file_parse_matches_token_loop(tmp_path_factory, text):
     assert load_outcome(load_matrix_file, path) == load_outcome(
         reference_load_matrix_file, path
     )
+
+
+@given(text=matrix_texts(), chunk=st.integers(1, 7))
+@settings(max_examples=300, deadline=None)
+def test_matrix_file_chunk_edges_match_token_loop(tmp_path_factory, text, chunk):
+    # Chunks of a few bytes put tokens, "\r\n", the two UTF-8 bytes of an
+    # NBSP and the odd tokens across chunk edges.
+    path = str(tmp_path_factory.mktemp("matrix") / "m.mat")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(config, "_CHUNK_BYTES", chunk)
+        outcome = load_outcome(load_matrix_file, path)
+    assert outcome == load_outcome(reference_load_matrix_file, path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+def test_matrix_file_chunked_path_reads_a_clean_file(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    m[2, 3] = complex(-0.0, 0.0)
+    path = str(tmp_path / "m.mat")
+    save_matrix_file(path, 3, 2, m)
+    monkeypatch.setattr(config, "_CHUNK_BYTES", chunk)
+    with open(path, "rb") as fh:
+        assert config._load_chunked(fh) is not None  # no fallback taken
+    assert load_outcome(load_matrix_file, path) == load_outcome(
+        reference_load_matrix_file, path
+    )
+
+
+def test_matrix_file_load_heap_stays_below_file_size_over_many_chunks(tmp_path):
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
+    path = tmp_path / "big.mat"
+    save_matrix_file(str(path), 4, 40, m)
+    size = path.stat().st_size
+    assert size >= 8 * config._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        _, _, loaded = load_matrix_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded, m)
+    assert peak <= size
 
 
 def test_matrix_file_load_heap_stays_near_file_size(tmp_path):

@@ -132,6 +132,51 @@ def test_hermitian_eigendecompose_rejects_asymmetric():
         hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _hermitian_case(case: str) -> np.ndarray:
+    n = 100 if case.startswith("large") else 5  # large: compared in runs of rows
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = g + g.conj().T
+    if case.endswith("near"):
+        # Within the 1e-9 bound, not exactly Hermitian, and only in row
+        # n - 2, so that the large case differs in its last run alone.
+        m[n - 2, n - 2] += 1e-13j
+    if case == "signed_zero":
+        m = np.array([[1.0, complex(0.0, -1.0)], [complex(-0.0, 1.0), 2.0]])
+    return m
+
+
+@pytest.mark.parametrize("case", ["exact", "near", "signed_zero", "large_exact", "large_near"])
+def test_eigh_gets_the_block_itself_only_when_exactly_its_hermitian_part(monkeypatch, case):
+    m = _hermitian_case(case)
+    sym = (m + m.conj().T) / 2
+    exact = case.endswith("exact")
+    assert (_bits(sym) == _bits(m)) == exact
+    if case == "signed_zero":
+        assert np.array_equal(sym, m)  # equal values, one zero of opposite sign
+    real_eigh = np.linalg.eigh
+    route = real_eigh(sym)
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    eig = hermitian_eigendecompose(m)
+    assert len(seen) == 1
+    if exact:
+        assert seen[0] is m
+    else:
+        assert seen[0] is not m and _bits(seen[0]) == _bits(sym)
+    assert _bits(eig.eigenvalues) == _bits(route.eigenvalues)
+    assert _bits(eig.eigenvectors) == _bits(route.eigenvectors)
+
+
 def test_unitary_exponential_zero_time():
     h = np.array([[1.0, 0.3], [0.3, -0.7]])
     np.testing.assert_allclose(unitary_exponential(h, 0.0), np.eye(2), atol=1e-15)
