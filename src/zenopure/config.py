@@ -354,77 +354,38 @@ def _token_runs(fh):
     two runs; what follows the cut starts the next run. Runs may be empty."""
     carry = b""
     while chunk := fh.read(_CHUNK_BYTES):
-        run = carry + chunk
-        cut = max(map(run.rfind, _ASCII_SPACE)) + 1
-        carry = run[cut:]
-        yield run[:cut]
+        chunk = carry + chunk  # the bytes read alone are not kept
+        cut = max(map(chunk.rfind, _ASCII_SPACE)) + 1
+        carry = chunk[cut:]
+        yield chunk[:cut]
     yield carry
 
 
-def _parse_numbers(runs, count: int) -> np.ndarray | None:
-    """The float() of each whitespace-separated token in the byte runs, as one
-    array of count values, parsed a run at a time; or None when the result
-    might not be float()'s.
+def _parse_run(run: bytes) -> np.ndarray:
+    """The float() of each whitespace-separated token in the byte run.
 
     np.fromstring parses with the same correctly rounded routine as float(),
-    in one C pass and without a Python object per token, into an array
-    allocated once. It disagrees with float() at the edges: it returns [-1.]
-    for whitespace-only text (such runs are skipped), accepts "nan(1)",
-    rejects "1_0", NBSP and the other non-ASCII separators and digits, and
-    older numpy returns a partial array with a warning on unmatched data. So
-    the result stands only when every run is ASCII, none raised or warned,
-    every value is finite and exactly count values were read; otherwise None
-    sends the caller to the token loop, with float()'s values and its
-    ValueError.
+    in one C pass and without a Python object per token. It disagrees with
+    float() at the edges: it returns [-1.] for whitespace-only text, accepts
+    "nan(1)", rejects "1_0", NBSP and the other non-ASCII separators and
+    digits, and older numpy returns a partial array with a warning on
+    unmatched data. So its array stands only when the run is ASCII and not
+    blank, np.fromstring raises and warns nothing, and every value is
+    finite. Any other run is decoded as UTF-8 and split into tokens, each
+    parsed with float(), which decides its values or its ValueError; a run
+    that is not UTF-8 raises UnicodeDecodeError.
     """
-    values = np.empty(count)
-    filled = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for run in runs:
-            if not run.isascii():
-                return None
-            if not run or run.isspace():
-                continue
+    if run and run.isascii() and not run.isspace():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             try:
                 part = np.fromstring(run, dtype=float, sep=" ")
             except (ValueError, Warning):
-                return None
-            if filled + part.size > count or not np.isfinite(part).all():
-                return None
-            values[filled:filled + part.size] = part
-            filled += part.size
-    return values if filled == count else None
-
-
-def _load_chunked(fh) -> tuple[int, int, np.ndarray] | None:
-    """(dim_a, dim_b, numbers) of the binary matrix file fh, read and parsed
-    a chunk at a time; or None when the header is not two ASCII-digit
-    tokens of positive dimensions, the file is too short to hold the
-    2 (dim_a dim_b)^2 numbers they ask for, or ``_parse_numbers`` cannot
-    vouch for its result."""
-    runs = _token_runs(fh)
-    head = b""
-    for run in runs:
-        head = (head + run).lstrip()
-        fields = head.split(None, 2)
-        if len(fields) >= 2:
-            break
-    else:
-        return None
-    if not (fields[0].isdigit() and fields[1].isdigit()):
-        return None
-    try:
-        dim_a, dim_b = int(fields[0]), int(fields[1])
-    except ValueError:  # more digits than int() converts
-        return None
-    count = 2 * (dim_a * dim_b) ** 2
-    # count tokens take at least 2 count - 1 bytes: a larger header is
-    # refused by the token loop, without allocating count values first.
-    if dim_a < 1 or dim_b < 1 or 2 * count - 1 > os.fstat(fh.fileno()).st_size:
-        return None
-    values = _parse_numbers(itertools.chain(fields[2:], runs), count)
-    return None if values is None else (dim_a, dim_b, values)
+                pass
+            else:
+                if np.isfinite(part).all():
+                    return part
+    return np.fromiter(map(float, run.decode("utf-8").split()), float)
 
 
 def _as_complex(values: np.ndarray, d: int) -> np.ndarray:
@@ -448,42 +409,65 @@ def load_matrix_file(path: str) -> tuple[int, int, np.ndarray]:
     Returns (dim_a, dim_b, matrix) where the matrix has dimension
     dim_a*dim_b and entries are row-major in the file.
 
-    The file is read and parsed a chunk at a time (``_load_chunked``), into
-    one array that becomes the matrix, so the heap peaks near the matrix's
-    size rather than the text's. Any file that path cannot vouch for (a
-    header that is not two ASCII-digit tokens of positive dimensions, a
-    non-ASCII byte, a token np.fromstring refuses or reads as non-finite, a
-    wrong count of numbers) is read whole and split into tokens instead,
-    each parsed with int() or float(), which decide its values or its
-    refusal.
+    The file is read a chunk at a time, cut into runs of whole tokens
+    (``_token_runs``). The two header tokens are parsed with int(), and each
+    later run with ``_parse_run``: np.fromstring for a run of plain ASCII
+    numbers, float() token by token for that run alone otherwise. The values
+    go into one array of 2 (dim_a dim_b)^2 numbers that becomes the matrix,
+    so the heap peaks near the matrix's size rather than the text's whenever
+    no run is much longer than a chunk. Past that array's end, or when the
+    header asks for nonpositive dimensions or more numbers than the file's
+    size can hold, the numbers are only counted.
+
+    Refusals come in the order of a file read whole and split into tokens:
+    fewer than two tokens; the first token int() or float() refuses;
+    nonpositive dimensions; a wrong count of numbers. A byte that is not
+    UTF-8 is refused, with its offset in the file, when its run is reached:
+    after a refused token in an earlier run, before one in its own.
     """
+    offset = 0  # the file offset of the run being parsed
+    fields: list[str] = []
     try:
         with open(path, "rb") as fh:
-            loaded = _load_chunked(fh)
-        if loaded is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                head = fh.read().split(None, 2)
+            runs = _token_runs(fh)
+            head = ""
+            for run in runs:
+                head = (head + run.decode("utf-8")).lstrip()
+                offset += len(run)
+                if len(fields := head.split(None, 2)) >= 2:
+                    break
+            if len(fields) >= 2:
+                dim_a, dim_b = int(fields[0]), int(fields[1])
+                count = 2 * (dim_a * dim_b) ** 2
+                # count tokens take at least 2 count - 1 bytes: a larger header
+                # is refused by its count, without allocating count values first.
+                fits = dim_a >= 1 and dim_b >= 1 and 2 * count - 1 <= os.fstat(fh.fileno()).st_size
+                values = np.empty(count if fits else 0)
+                # The text after the header, as bytes; the header's text is not kept.
+                head = fields.pop().encode() if len(fields) > 2 else b""
+                offset -= len(head)
+                read = 0
+                for run in itertools.chain([head], runs):
+                    part = _parse_run(run)
+                    offset += len(run)
+                    if read + part.size <= values.size:
+                        values[read:read + part.size] = part
+                    read += part.size
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file {path!r}: {exc}") from exc
-    if loaded is not None:
-        dim_a, dim_b, values = loaded
-        return dim_a, dim_b, _as_complex(values, dim_a * dim_b)
-    if len(head) < 2:
-        raise ConfigError(f"matrix file {path!r} lacks the dimension header")
-    try:
-        dim_a, dim_b = int(head[0]), int(head[1])
-        body = head[2] if len(head) > 2 else ""
-        values = np.array([float(t) for t in body.split()], dtype=float)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"matrix file {path!r} is not UTF-8: {exc.reason} at byte {offset + exc.start}"
+        ) from exc
     except ValueError as exc:
         raise ConfigError(f"matrix file {path!r} is not numeric: {exc}") from exc
+    if len(fields) < 2:
+        raise ConfigError(f"matrix file {path!r} lacks the dimension header")
     if dim_a < 1 or dim_b < 1:
         raise ConfigError(f"matrix file {path!r} has nonpositive dimensions")
-    d = dim_a * dim_b
-    if values.size != 2 * d * d:
-        raise ConfigError(
-            f"matrix file {path!r} holds {values.size} numbers, expected {2 * d * d}"
-        )
-    return dim_a, dim_b, _as_complex(values, d)
+    if read != count:
+        raise ConfigError(f"matrix file {path!r} holds {read} numbers, expected {count}")
+    return dim_a, dim_b, _as_complex(values, dim_a * dim_b)
 
 
 def save_matrix_file(path: str, dim_a: int, dim_b: int, matrix: np.ndarray) -> None:

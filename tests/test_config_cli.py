@@ -462,11 +462,19 @@ def test_matrix_file_chunked_path_reads_a_clean_file(tmp_path, monkeypatch, chun
     path = str(tmp_path / "m.mat")
     save_matrix_file(path, 3, 2, m)
     monkeypatch.setattr(config, "_CHUNK_BYTES", chunk)
-    with open(path, "rb") as fh:
-        assert config._load_chunked(fh) is not None  # no fallback taken
+    parsed = []
+    fromstring = np.fromstring
+
+    def counted(*args, **kwargs):
+        part = fromstring(*args, **kwargs)
+        parsed.append(part.size)
+        return part
+
+    monkeypatch.setattr(np, "fromstring", counted)
     assert load_outcome(load_matrix_file, path) == load_outcome(
         reference_load_matrix_file, path
     )
+    assert sum(parsed) == 2 * 6 * 6  # every entry came out of np.fromstring
 
 
 def test_matrix_file_load_heap_stays_below_file_size_over_many_chunks(tmp_path):
@@ -501,6 +509,71 @@ def test_matrix_file_load_heap_stays_near_file_size(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(loaded, m)
     assert peak <= 3 * size
+
+
+def test_matrix_file_nbsp_keeps_heap_bound_and_output(tmp_path, capsys):
+    # One NBSP separator sends only the run that holds it to float().
+    rng = np.random.default_rng(13)
+    m = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
+    save_matrix_file(str(tmp_path / "clean.mat"), 4, 40, (m + m.conj().T) / 2)
+    text = (tmp_path / "clean.mat").read_bytes()
+    middle = text.index(b" ", len(text) // 2)
+    path = tmp_path / "nbsp.mat"
+    path.write_bytes(text[:middle] + "\xa0".encode() + text[middle + 1:])
+    size = path.stat().st_size
+    assert size >= 8 * config._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        loaded = load_matrix_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert load_outcome(lambda _: loaded, str(path)) == load_outcome(
+        reference_load_matrix_file, str(path)
+    )
+    assert peak <= size
+    outs = []
+    for name in ("clean.mat", "nbsp.mat"):
+        cfg = write(tmp_path, f'[model]\nkind = "explicit"\nhamiltonian_file = "{name}"\n'
+                              "probe_re = [1, 0, 0, 0]\ntau = 0.5\n")
+        code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text", [
+    b"1 2\n0 0 0.5 0\n0.5 0 0 \xff\n0.25 0 0 0\n",
+    b"1 2\n0 0 0.5 0\n0.5 0 0 \xc2\n0.25 0 0 0\n",
+    b"1 \xe2\x80 2\n0 0 0.5 0\n0.5 0 0 0\n0.25 0 0 0\n",
+], ids=["invalid_start_byte", "truncated_sequence", "in_header_token"])
+@pytest.mark.parametrize("chunk", [3, 1 << 16], ids=["runs_of_a_few_bytes", "one_run"])
+def test_matrix_file_not_utf8_refused_at_its_file_offset(tmp_path, monkeypatch, capsys,
+                                                        text, chunk):
+    path = tmp_path / "m.mat"
+    path.write_bytes(text)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        text.decode("utf-8")
+    monkeypatch.setattr(config, "_CHUNK_BYTES", chunk)
+    with pytest.raises(ConfigError) as caught:
+        load_matrix_file(str(path))
+    assert str(caught.value) == (
+        f"matrix file {str(path)!r} is not UTF-8: {whole.value.reason} "
+        f"at byte {whole.value.start}"
+    )
+    cfg = write(tmp_path, '[model]\nkind = "explicit"\npropagator_file = "m.mat"\n')
+    code, out, err = run_cli(capsys, "spectrum", "--config", cfg)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: matrix file ") and f"at byte {whole.value.start}\n" in err
+
+
+def test_matrix_file_reports_an_earlier_token_before_a_later_bad_byte(tmp_path, monkeypatch):
+    path = tmp_path / "m.mat"
+    path.write_bytes(b"1 1\nx 0\n\xff\n")
+    monkeypatch.setattr(config, "_CHUNK_BYTES", 4)
+    with pytest.raises(ConfigError) as caught:
+        load_matrix_file(str(path))
+    assert str(caught.value) == f"matrix file {str(path)!r} {NOT_NUMERIC}'x'"
 
 
 def test_non_finite_matrix_entry_refused_by_cli(tmp_path, capsys):
