@@ -23,6 +23,7 @@ from .linalg import (
     TopKResult,
     _checked_blocks,
     _decompose_blocks,
+    _dense_blocks,
     top_k_eigenpairs,
 )
 
@@ -76,17 +77,17 @@ class BipartiteSystem:
     parts is needed by any algorithm here.
 
     A system is built from the dense H, ``BipartiteSystem(dim_a, dim_b,
-    hamiltonian)``, or from the diagonal blocks outside which H is zero,
-    ``BipartiteSystem.from_blocks``, which never forms a D x D array. Either
-    way H is checked once, when the system is built: shapes and finiteness
-    here, then ``linalg._checked_blocks`` searches its nonzero pattern once
-    for the coupled blocks (the connected components, ``block_indices``,
-    ascending and ordered by their smallest index, the same sets in the same
-    order for either constructor), cuts out their matrices
-    (``block_matrices``) and sums the symmetry bound ||H - H†||_F <= 1e-9
-    ||H||_F over them, raising ``linalg.NotHermitian`` past it. The system owns
-    those blocks: ``blocks`` eigendecomposes each of them once, on first
-    use, and every propagator of the system is built from that one
+    hamiltonian)``, whose nonzero pattern ``linalg._coupled_blocks``
+    searches once for the coupled blocks (its connected components), or
+    from blocks the caller already knows, ``BipartiteSystem.from_blocks``,
+    which takes them as they are given and never forms a D x D array.
+    Either way the blocks (``block_indices``, each ascending, ordered by
+    their smallest index, and their matrices, ``block_matrices``) are
+    checked once, when the system is built: shapes and finiteness here,
+    then ``linalg._checked_blocks`` sums the symmetry bound ||H - H†||_F <=
+    1e-9 ||H||_F over them, raising ``linalg.NotHermitian`` past it. The
+    system owns those blocks: ``blocks`` eigendecomposes each of them once,
+    on first use, and every propagator of the system is built from that one
     decomposition. A one-block H is kept as given, not copied.
 
     ``hamiltonian`` is the dense H. Given to the constructor, it is that
@@ -103,19 +104,23 @@ class BipartiteSystem:
             raise ValueError(f"hamiltonian must be {d}x{d}, got {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError("hamiltonian contains non-finite entries")
-        self._own_blocks(dim_a, dim_b, [(np.arange(d), h)])
+        self._own_blocks(dim_a, dim_b, *_dense_blocks(h))
         vars(self)["hamiltonian"] = h
 
     @classmethod
     def from_blocks(cls, dim_a: int, dim_b: int, blocks) -> BipartiteSystem:
-        """The system whose H holds each of ``blocks`` and is zero elsewhere.
+        """The system whose H holds each of ``blocks`` and is zero elsewhere,
+        with those blocks as its coupled blocks.
 
         ``blocks`` are (indices, matrix) pairs: the index sets partition
         range(dim_a * dim_b), and each matrix is H on its indices, rows and
         columns in the order the indices are given. Each block's shape and
-        finiteness are checked, then the partition, then, after the block
-        search, the symmetry bound, with the messages of the dense
-        constructor.
+        finiteness are checked, then the partition, then the symmetry bound,
+        with the messages of the dense constructor. A block is not searched
+        or split, even where its own pattern falls apart; its indices are
+        sorted ascending (its matrix reordered with them), the blocks are
+        ordered by their smallest index, and an empty block is dropped. A
+        block given in that order already is kept as given, not copied.
         """
         if dim_a < 1 or dim_b < 1:
             raise ValueError("dimensions must be positive")
@@ -132,7 +137,11 @@ class BipartiteSystem:
                 )
             if not np.isfinite(m).all():
                 raise ValueError("hamiltonian contains non-finite entries")
-            parts.append((idx.astype(np.intp), m))
+            idx = idx.astype(np.intp)
+            if (idx[1:] < idx[:-1]).any():
+                order = np.argsort(idx)
+                idx, m = idx[order], m[np.ix_(order, order)]
+            parts.append((idx, m))
         every = np.concatenate([np.empty(0, dtype=np.intp)] + [idx for idx, _ in parts])
         if every.size and (every.min() < 0 or every.max() >= d):
             raise ValueError(f"block indices must lie in range({d})")
@@ -143,14 +152,15 @@ class BipartiteSystem:
                 f"{np.count_nonzero(counts == 0)} missing, "
                 f"{np.count_nonzero(counts > 1)} repeated"
             )
+        parts = sorted((part for part in parts if len(part[0])), key=lambda part: part[0][0])
         system = cls.__new__(cls)
-        system._own_blocks(dim_a, dim_b, parts)
+        system._own_blocks(dim_a, dim_b, [idx for idx, _ in parts],
+                           _checked_blocks(m for _, m in parts))
         return system
 
-    def _own_blocks(self, dim_a: int, dim_b: int, parts) -> None:
-        found, matrices = _checked_blocks(parts)
+    def _own_blocks(self, dim_a: int, dim_b: int, found, matrices) -> None:
         vars(self).update(dim_a=dim_a, dim_b=dim_b, block_indices=tuple(found),
-                          block_matrices=tuple(matrices))
+                          block_matrices=matrices)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

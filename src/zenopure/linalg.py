@@ -10,15 +10,15 @@ block. A conserved quantity such as a total excitation number therefore
 turns one D x D problem into many small ones; a fully coupled matrix is a
 single block and is decomposed as it stands.
 
-A matrix is checked once, block by block, by ``_checked_blocks``: its
-pattern is searched once (``_coupled_blocks``, from the dense matrix or
-from diagonal blocks it is known to be zero outside), the blocks found are
-cut out (``_cut_blocks``), and the symmetry bound ||m - m†||_F <= 1e-9
-||m||_F is summed over them (``_block_asymmetry``, ``_check_hermitian``,
-the one place that raises NotHermitian). The blocks are then decomposed
-without testing them again (``_decompose_blocks``). ``block_eigendecompose``
-does both for a raw matrix; ``engine.BipartiteSystem`` checks its blocks
-when it is built, keeps them, and decomposes them on first use.
+A dense matrix is searched once for its blocks (``_coupled_blocks``) and
+they are cut out of it (``_dense_blocks``); blocks a caller already knows
+are taken as they are. Either way the symmetry bound ||m - m†||_F <= 1e-9
+||m||_F is summed over the blocks once (``_checked_blocks``, through
+``_check_hermitian``, the one place that raises NotHermitian), and they are
+then decomposed without testing them again (``_decompose_blocks``).
+``block_eigendecompose`` does both for a raw matrix;
+``engine.BipartiteSystem`` checks its blocks when it is built, keeps them,
+and decomposes them on first use.
 
 The eigenpair routines take the whole spectrum from one LAPACK ``eig``
 (``numpy.linalg.eig``; importing scipy would cost every fresh process far
@@ -212,45 +212,27 @@ def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
     return HermitianBlock(indices, vals, vecs)
 
 
-def _pattern_edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the nonzero pattern of m, made symmetric and given its
-    diagonal, in row-major order."""
+def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of the
+    square, finite matrix m.
+
+    Indices i and j share a component when a chain of exactly nonzero
+    entries m[i, k], m[k, l], ..., in either orientation, links them. Each
+    set is ascending and the sets are ordered by their smallest index, so a
+    matrix without zero couplings is one block, arange(n).
+    """
+    # The pattern is made symmetric and given its diagonal; its row-major
+    # edges have ascending rows, each row's entries contiguous and every
+    # row nonempty.
     pattern = m != 0
     pattern |= pattern.T
     np.fill_diagonal(pattern, True)
-    return np.divmod(np.flatnonzero(pattern), m.shape[0])
-
-
-def _coupled_blocks(parts) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of a matrix.
-
-    The matrix is given as ``parts``, (indices, block) pairs whose index sets
-    partition range(n): it holds each block on its indices and is zero
-    between them. A whole matrix m is the one part (arange(n), m); its
-    edges are read from its dense pattern, and those of several parts from
-    the nonzeros of their blocks. Indices i and j share a component when a
-    chain of exactly nonzero entries m[i, k], m[k, l], ..., in either
-    orientation, links them. Each set is ascending and the sets are ordered
-    by their smallest index, however the matrix was split into parts, so a
-    matrix without zero couplings is one block, arange(n). The blocks must
-    be finite.
-    """
-    if len(parts) == 1 and np.array_equal(parts[0][0], np.arange(len(parts[0][0]))):
-        # A whole matrix: its row-major edges are in order already.
-        rows, cols = _pattern_edges(parts[0][1])
-    else:
-        edges = [(idx[r], idx[c]) for idx, m in parts for r, c in [_pattern_edges(m)]]
-        rows = np.concatenate([r for r, _ in edges])
-        cols = np.concatenate([c for _, c in edges])
-        order = np.argsort(rows, kind="stable")
-        rows, cols = rows[order], cols[order]
+    n = m.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(pattern), n)
     # Every index starts labelled by itself. Each pass gives every index the
     # smallest label among its neighbours, then replaces each label by that
     # label's own label (pointer jumping, which keeps the number of passes
     # far below the length of the longest chain), until nothing changes.
-    # Rows are ascending and each row's entries contiguous (the diagonal
-    # makes every row nonempty).
-    n = sum(len(idx) for idx, _ in parts)
     starts = np.searchsorted(rows, np.arange(n))
     label = np.arange(n)
     while True:
@@ -263,65 +245,36 @@ def _coupled_blocks(parts) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _index_owners(groups, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For disjoint index sets ``groups`` covering range(d): the number of
-    the set holding each index, and the index's place within that set."""
-    owner = np.empty(d, dtype=int)
-    place = np.empty(d, dtype=int)
-    for number, idx in enumerate(groups):
-        owner[idx] = number
-        place[idx] = np.arange(len(idx))
-    return owner, place
+def _checked_blocks(matrices) -> tuple[np.ndarray, ...]:
+    """``matrices``, the finite diagonal blocks of a matrix a that is zero
+    outside them, once the symmetry bound ||a - a†||_F <= 1e-9 ||a||_F holds.
 
-
-def _cut_blocks(parts, found) -> list[np.ndarray]:
-    """The matrix of each block ``_coupled_blocks(parts)`` found.
-
-    A found block lies within one part, and is cut out of that part's
-    block; one that is a whole part, in the same order, is that part's
-    matrix itself, not a copy.
+    a - a† is zero outside the blocks too, so the root sums of squares over
+    the blocks are the whole matrix's norms. Raises NotHermitian past the
+    bound.
     """
-    owner, place = _index_owners([idx for idx, _ in parts], sum(len(idx) for idx, _ in parts))
-    out = []
-    for idx in found:
-        given, m = parts[owner[idx[0]]]
-        if np.array_equal(idx, given):
-            out.append(m)
-        else:
-            out.append(m[np.ix_(place[idx], place[idx])])
-    return out
-
-
-def _block_asymmetry(matrices) -> tuple[float, float]:
-    """(||a - a†||_F, ||a||_F) of the matrix a made of the blocks ``matrices``.
-
-    a is zero outside its blocks, and so is a - a†, so the root sums of
-    squares over the blocks are the whole matrix's norms.
-    """
+    matrices = tuple(matrices)
     dev = scale = 0.0
     for s in matrices:
         dev += np.linalg.norm(s - s.conj().T) ** 2
         scale += np.linalg.norm(s) ** 2
-    return float(np.sqrt(dev)), float(np.sqrt(scale))
+    _check_hermitian(float(np.sqrt(dev)), float(np.sqrt(scale)))
+    return matrices
 
 
-def _checked_blocks(parts) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The index sets ``_coupled_blocks(parts)`` finds and the matrices
-    ``_cut_blocks`` cuts for them, after the symmetry bound, summed over
-    them, is checked. The blocks must be finite.
-
-    Raises NotHermitian when ||m - m†||_F > 1e-9 ||m||_F for the matrix m
-    the parts make up.
-    """
-    found = _coupled_blocks(parts)
-    matrices = _cut_blocks(parts, found)
-    _check_hermitian(*_block_asymmetry(matrices))
-    return found, matrices
+def _dense_blocks(m: np.ndarray) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+    """The coupled blocks of the square, finite matrix m: the index sets
+    ``_coupled_blocks`` finds and their matrices, checked by
+    ``_checked_blocks``. A matrix that is one block is its own one matrix,
+    not a copy."""
+    found = _coupled_blocks(m)
+    return found, _checked_blocks([m] if len(found) == 1
+                                  else [m[np.ix_(idx, idx)] for idx in found])
 
 
 def _decompose_blocks(found, matrices) -> tuple[HermitianBlock, ...]:
-    """Eigendecompose the blocks ``matrices`` on the index sets ``found``,
-    as ``_checked_blocks`` returns them.
+    """Eigendecompose the blocks ``matrices``, checked by ``_checked_blocks``,
+    on the index sets ``found``.
 
     Every block is finite and their summed asymmetry within the bound, so
     each goes to ``hermitian_eigendecompose`` with its indices, unchecked.
@@ -340,8 +293,7 @@ def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:
     its Hermitian part is decomposed. A matrix that is one block is passed
     as it stands, without copying it out.
     """
-    a = _as_square(m)
-    return _decompose_blocks(*_checked_blocks([(np.arange(a.shape[0]), a)]))
+    return _decompose_blocks(*_dense_blocks(_as_square(m)))
 
 
 def _block_selection(groups, d: int, indices):
@@ -355,7 +307,11 @@ def _block_selection(groups, d: int, indices):
     [np.ix_(local, local)], and zero between two different sets.
     """
     indices = np.asarray(indices, dtype=int)
-    owner, place = _index_owners(groups, d)
+    owner = np.empty(d, dtype=int)
+    place = np.empty(d, dtype=int)
+    for number, idx in enumerate(groups):
+        owner[idx] = number
+        place[idx] = np.arange(len(idx))
     chosen = owner[indices]
     for number in np.unique(chosen):
         rows = np.flatnonzero(chosen == number)

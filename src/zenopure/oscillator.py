@@ -308,10 +308,17 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     basis, with number operators built exactly as integer diagonals. H
     conserves n_a + n_b, so it is built as one small matrix per total
     excitation number, on that number's states (``_excitation_states``),
-    and handed to ``BipartiteSystem.from_blocks``; no D x D array is formed.
-    Each block equals the dense H restricted to its indices, bit for bit.
+    and handed to ``BipartiteSystem.from_blocks`` as H's coupled blocks; no
+    D x D array is formed. Each block equals the dense H restricted to its
+    indices, bit for bit. At g = 0 nothing couples two states, so each
+    state is handed over as a 1 x 1 block of its own: the blocks are those
+    the dense constructor finds at every g.
     """
     na, nb = p.n_max_a, p.n_max_b
+    if p.g == 0:
+        occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
+        energies = p.big_omega * occ_a + p.omega * occ_b
+        return BipartiteSystem.from_blocks(na, nb, [([i], [[e]]) for i, e in enumerate(energies)])
     blocks = []
     for occ_a, occ_b in _excitation_states(na, nb):
         n = len(occ_a)

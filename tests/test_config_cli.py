@@ -387,7 +387,9 @@ def reference_load_matrix_file(path):
             f"matrix file {path!r} holds {values.size} numbers, expected {2 * d * d}"
         )
     pairs = values.reshape(d * d, 2)
-    return dim_a, dim_b, (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
+    # 1j * inf is nan+infj, as in config._as_complex.
+    with np.errstate(invalid="ignore"):
+        return dim_a, dim_b, (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
 
 
 FINITE_TOKENS = st.one_of(
@@ -971,13 +973,14 @@ def count_calls(monkeypatch, name, home=linalg):
 ], ids=["figure1", "spectrum", "purify", "compare", "zeno", "compare-no-gap"])
 def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, command, config,
                                              exit_code, blocks, spectrum_solves, builds):
-    # One search of H's pattern, one eigendecomposition per block found, at
-    # most one V, formed by build_projected_propagator, and at most one solve
-    # of V's spectrum, whatever the command. The coupled model has one block
-    # per total excitation number; uncoupled modes split into single states
-    # and give V no magnitude gap, so compare skips its geometric check, and
-    # its one solve is run_purification's default fidelity target. At cutoff
-    # 12 compare breaches on truncation, which it reports with exit code 3.
+    # No search of H's pattern, since the oscillator model builds H as its
+    # coupled blocks, one eigendecomposition per block, at most one V, formed
+    # by build_projected_propagator, and at most one solve of V's spectrum,
+    # whatever the command. The coupled model has one block per total
+    # excitation number; uncoupled modes split into single states and give V
+    # no magnitude gap, so compare skips its geometric check, and its one
+    # solve is run_purification's default fidelity target. At cutoff 12
+    # compare breaches on truncation, which it reports with exit code 3.
     searches = count_calls(monkeypatch, "_coupled_blocks")
     decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
     solves = count_calls(monkeypatch, "top_k_eigenpairs")
@@ -987,11 +990,23 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
         argv += ["--config", write(tmp_path, config)]
     code, _, _ = run_cli(capsys, *argv)
     assert code == exit_code
-    assert len(searches) == 1
-    assert len(searches[0]) == blocks
-    assert len(decompositions) == len(searches[0])
+    assert searches == []
+    assert len(decompositions) == blocks
     assert len(solves) == spectrum_solves
     assert len(propagators) == builds
+
+
+@pytest.mark.parametrize("command", ["purify", "zeno"])
+def test_explicit_hamiltonian_is_searched_once(tmp_path, capsys, monkeypatch, command):
+    # A dense H read from a file is searched once for its coupled blocks,
+    # the six single states of a decoupled H, and each is decomposed once.
+    cfg = decoupled_hamiltonian_config(tmp_path)
+    searches = count_calls(monkeypatch, "_coupled_blocks")
+    decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
+    code, _, _ = run_cli(capsys, command, "--config", cfg)
+    assert code == 0
+    assert len(searches) == 1 and len(searches[0]) == 6
+    assert len(decompositions) == 6
 
 
 def test_purify_solves_tied_propagator_once(tmp_path, capsys, monkeypatch):

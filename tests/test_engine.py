@@ -158,23 +158,27 @@ def test_bipartite_system_decomposes_each_block_once(monkeypatch):
 @settings(max_examples=40, deadline=None)
 def test_from_blocks_matches_dense_constructor(seed):
     # A permuted block-diagonal H, some of its blocks diagonal, handed over
-    # as unions of its blocks in shuffled order with shuffled indices: the
-    # block constructor must find the blocks the dense constructor finds, in
-    # the same order, with the same matrices and decompositions.
+    # as its coupled blocks in shuffled order with shuffled indices: the
+    # block constructor must sort them into the blocks the dense constructor
+    # finds, in the same order, with the same matrices and decompositions.
     rng = np.random.default_rng(seed)
     dim_a, dim_b = int(rng.integers(1, 4)), int(rng.integers(1, 5))
     d = dim_a * dim_b
     cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
     h = np.zeros((d, d), dtype=complex)
+    coupled = []
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
         a = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
         a = (a + a.conj().T) / 2
-        h[lo:hi, lo:hi] = np.diag(np.diag(a)) if rng.uniform() < 0.3 else a
+        if rng.uniform() < 0.3:
+            h[lo:hi, lo:hi] = np.diag(np.diag(a))
+            coupled += [[i] for i in range(lo, hi)]
+        else:
+            h[lo:hi, lo:hi] = a
+            coupled.append(list(range(lo, hi)))
     perm = rng.permutation(d)
     h = h[np.ix_(perm, perm)]
-    joined = cuts[rng.uniform(size=len(cuts)) < 0.5]
-    parts = [rng.permutation(np.flatnonzero((perm >= lo) & (perm < hi)))
-             for lo, hi in zip(np.r_[0, joined], np.r_[joined, d])]
+    parts = [rng.permutation(np.flatnonzero(np.isin(perm, idx))) for idx in coupled]
     parts = [parts[i] for i in rng.permutation(len(parts))]
     built = BipartiteSystem.from_blocks(dim_a, dim_b, [(idx, h[np.ix_(idx, idx)]) for idx in parts])
     dense = BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=h)
@@ -187,6 +191,37 @@ def test_from_blocks_matches_dense_constructor(seed):
         np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
         np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
     np.testing.assert_array_equal(built.hamiltonian, h)
+
+
+def test_from_blocks_keeps_each_given_block_whole():
+    # The first block's own pattern falls apart into {0, 2} and {1, 3}: the
+    # dense constructor splits it, but a given block is H's coupled block as
+    # it stands, and the empty block is dropped. V is the same to rounding.
+    rng = np.random.default_rng(11)
+
+    def hermitian(n):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return a + a.conj().T
+
+    split = np.zeros((4, 4), dtype=complex)
+    split[np.ix_([0, 2], [0, 2])] = hermitian(2)
+    split[np.ix_([1, 3], [1, 3])] = hermitian(2)
+    pair = hermitian(2)
+    h = np.zeros((6, 6), dtype=complex)
+    h[:4, :4] = split
+    h[np.ix_([5, 4], [5, 4])] = pair
+    built = BipartiteSystem.from_blocks(2, 3, [
+        ([5, 4], pair), (np.empty(0, dtype=int), np.zeros((0, 0))), ([0, 1, 2, 3], split),
+    ])
+    dense = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=h)
+    np.testing.assert_array_equal(built.hamiltonian, h)
+    assert [idx.tolist() for idx in built.block_indices] == [[0, 1, 2, 3], [4, 5]]
+    assert [idx.tolist() for idx in dense.block_indices] == [[0, 2], [1, 3], [4, 5]]
+    assert len(built.blocks) == 2
+    probe = ProbeState(np.array([0.6, 0.8j]))
+    np.testing.assert_allclose(build_projected_propagator(built, probe, 0.7).matrix,
+                               build_projected_propagator(dense, probe, 0.7).matrix,
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("blocks, message", [
