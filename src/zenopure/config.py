@@ -12,6 +12,9 @@ Python's float() accepts.
 Exactly one model source must be present: inline oscillator parameters, a
 Hamiltonian file plus probe vector and interval, or a ready-made projected
 propagator file (header "1 dim_b") for spectra of explicit contractions.
+
+The table _KEYS is the one list of [model] keys: their types, and the order
+in which parse_config checks them and emit_config writes them.
 """
 
 from __future__ import annotations
@@ -207,34 +210,53 @@ def _parse_sections(text: str) -> dict[str, dict]:
     return sections
 
 
-def _take(raw: dict, key: str, kinds, coerce=None, default=None, required=False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"[model] is missing required key {key!r}")
-        return default
-    value = raw.pop(key)
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ConfigError(f"key {key!r} has the wrong type")
-    return coerce(value) if coerce else value
+_NUMBER = (int, float)
+
+#: Every [model] key, in the order parse_config checks and emit_config writes
+#: them, with the types a scalar key's value may have (never a bool) and the
+#: type it is stored as; a list key has list and the type of its items.
+_KEYS = {
+    "kind": (str, str),
+    "alpha_re": (_NUMBER, float),
+    "alpha_im": (_NUMBER, float),
+    "probe_re": (list, float),
+    "probe_im": (list, float),
+    "big_omega": (_NUMBER, float),
+    "omega": (_NUMBER, float),
+    "g": (_NUMBER, float),
+    "beta": (_NUMBER, float),
+    "tau": (_NUMBER, float),
+    "tuned_m": (int, int),
+    "tuned_branch": (str, str),
+    "n_max_a": (int, int),
+    "n_max_b": (int, int),
+    "n_steps": (int, int),
+    "total_time": (_NUMBER, float),
+    "n_values": (list, int),
+    "hamiltonian_file": (str, str),
+    "propagator_file": (str, str),
+}
 
 
-def _take_number_list(raw: dict, key: str, as_int: bool):
+def _take(raw: dict, key: str):
+    """Pop key from raw and return its value as _KEYS stores it (a list as a
+    tuple), or None when raw lacks the key."""
     if key not in raw:
         return None
     value = raw.pop(key)
+    kinds, stored = _KEYS[key]
+    if kinds is not list:
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise ConfigError(f"key {key!r} has the wrong type")
+        return stored(value)
     if not isinstance(value, list):
         raise ConfigError(f"key {key!r} must be a list")
-    out = []
     for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
+        if isinstance(item, bool) or not isinstance(item, _NUMBER):
             raise ConfigError(f"key {key!r} must hold numbers only")
-        if as_int:
-            if not isinstance(item, int):
-                raise ConfigError(f"key {key!r} must hold integers only")
-            out.append(int(item))
-        else:
-            out.append(float(item))
-    return tuple(out)
+        if stored is int and not isinstance(item, int):
+            raise ConfigError(f"key {key!r} must hold integers only")
+    return tuple(map(stored, value))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -245,15 +267,13 @@ def parse_config(text: str) -> ExperimentConfig:
             f"expected exactly one [model] section, found {sorted(sections) or 'none'}"
         )
     raw = dict(sections["model"])
-    kind = _take(raw, "kind", str, required=True)
-    alpha_re = _take(raw, "alpha_re", (int, float), float)
-    alpha_im = _take(raw, "alpha_im", (int, float), float)
-    alpha = None
+    if "kind" not in raw:
+        raise ConfigError("[model] is missing required key 'kind'")
+    fields = {key: _take(raw, key) for key in _KEYS}
+    alpha_re, alpha_im = fields.pop("alpha_re"), fields.pop("alpha_im")
     if alpha_re is not None or alpha_im is not None:
-        alpha = complex(alpha_re or 0.0, alpha_im or 0.0)
-    probe = None
-    probe_re = _take_number_list(raw, "probe_re", as_int=False)
-    probe_im = _take_number_list(raw, "probe_im", as_int=False)
+        fields["alpha"] = complex(alpha_re or 0.0, alpha_im or 0.0)
+    probe_re, probe_im = fields.pop("probe_re"), fields.pop("probe_im")
     if probe_re is not None or probe_im is not None:
         if probe_re is None:
             raise ConfigError("probe_im given without probe_re")
@@ -261,73 +281,35 @@ def parse_config(text: str) -> ExperimentConfig:
             probe_im = tuple(0.0 for _ in probe_re)
         if len(probe_re) != len(probe_im):
             raise ConfigError("probe_re and probe_im differ in length")
-        probe = tuple(complex(r, i) for r, i in zip(probe_re, probe_im))
-    cfg = ExperimentConfig(
-        kind=kind,
-        big_omega=_take(raw, "big_omega", (int, float), float),
-        omega=_take(raw, "omega", (int, float), float),
-        g=_take(raw, "g", (int, float), float),
-        alpha=alpha,
-        beta=_take(raw, "beta", (int, float), float),
-        tau=_take(raw, "tau", (int, float), float),
-        tuned_m=_take(raw, "tuned_m", int),
-        tuned_branch=_take(raw, "tuned_branch", str),
-        n_max_a=_take(raw, "n_max_a", int),
-        n_max_b=_take(raw, "n_max_b", int),
-        n_steps=_take(raw, "n_steps", int, default=30),
-        total_time=_take(raw, "total_time", (int, float), float),
-        n_values=_take_number_list(raw, "n_values", as_int=True),
-        hamiltonian_file=_take(raw, "hamiltonian_file", str),
-        probe=probe,
-        propagator_file=_take(raw, "propagator_file", str),
-    )
+        fields["probe"] = tuple(complex(r, i) for r, i in zip(probe_re, probe_im))
+    # An absent key takes the field's default.
+    cfg = ExperimentConfig(**{key: value for key, value in fields.items() if value is not None})
     if raw:
         raise ConfigError(f"unknown keys in [model]: {sorted(raw)}")
     return cfg
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return f'"{x}"'
+    if isinstance(x, tuple):
+        return f"[{', '.join(map(_fmt, x))}]"
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".17g")
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    """Serialize a config so that parse_config(emit_config(c)) == c."""
-    lines = ["[model]", f'kind = "{cfg.kind}"']
-
-    def put(key, value):
-        lines.append(f"{key} = {_fmt(value)}")
-
-    for key in ("big_omega", "omega", "g"):
-        if getattr(cfg, key) is not None:
-            put(key, getattr(cfg, key))
+    """Serialize a config so that parse_config(emit_config(c)) == c: every
+    field that is not None, in the order of _KEYS."""
+    values = vars(cfg).copy()
     if cfg.alpha is not None:
-        put("alpha_re", cfg.alpha.real)
-        put("alpha_im", cfg.alpha.imag)
-    if cfg.beta is not None:
-        put("beta", cfg.beta)
-    if cfg.tau is not None:
-        put("tau", cfg.tau)
-    if cfg.tuned_m is not None:
-        lines.append(f"tuned_m = {cfg.tuned_m}")
-        lines.append(f'tuned_branch = "{cfg.tuned_branch}"')
-    if cfg.kind == "oscillator":
-        lines.append(f"n_max_a = {cfg.n_max_a}")
-        lines.append(f"n_max_b = {cfg.n_max_b}")
-    lines.append(f"n_steps = {cfg.n_steps}")
-    if cfg.total_time is not None:
-        put("total_time", cfg.total_time)
-    if cfg.n_values is not None:
-        lines.append(f"n_values = [{', '.join(str(n) for n in cfg.n_values)}]")
-    if cfg.hamiltonian_file is not None:
-        lines.append(f'hamiltonian_file = "{cfg.hamiltonian_file}"')
+        values.update(alpha_re=cfg.alpha.real, alpha_im=cfg.alpha.imag)
     if cfg.probe is not None:
-        lines.append(f"probe_re = [{', '.join(_fmt(z.real) for z in cfg.probe)}]")
-        lines.append(f"probe_im = [{', '.join(_fmt(z.imag) for z in cfg.probe)}]")
-    if cfg.propagator_file is not None:
-        lines.append(f'propagator_file = "{cfg.propagator_file}"')
-    return "\n".join(lines) + "\n"
+        values.update(probe_re=tuple(z.real for z in cfg.probe),
+                      probe_im=tuple(z.imag for z in cfg.probe))
+    lines = [f"{key} = {_fmt(values[key])}" for key in _KEYS if values.get(key) is not None]
+    return "\n".join(["[model]"] + lines) + "\n"
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -347,15 +329,24 @@ _CHUNK_BYTES = 1 << 16
 #: The bytes that separate tokens for both bytes.split() and np.fromstring.
 _ASCII_SPACE = (b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c")
 
+#: The UTF-8 of the other characters str.split() separates tokens at.
+_OTHER_SPACE = tuple(c.encode() for c in "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002"
+                     "\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
 
 def _token_runs(fh):
     """The bytes of the binary file fh, _CHUNK_BYTES at a time, each run cut
-    after its last ASCII whitespace byte so that no token is split between
-    two runs; what follows the cut starts the next run. Runs may be empty."""
+    after its last ASCII whitespace byte, or when it holds none after its last
+    other separator, so that no token is split between two runs; what follows
+    the cut starts the next run. Runs may be empty."""
     carry = b""
     while chunk := fh.read(_CHUNK_BYTES):
         chunk = carry + chunk  # the bytes read alone are not kept
         cut = max(map(chunk.rfind, _ASCII_SPACE)) + 1
+        if not cut:
+            # UTF-8 is self-synchronising, so each match is a whole character.
+            cut = max((at + len(space) for space in _OTHER_SPACE
+                       if (at := chunk.rfind(space)) >= 0), default=0)
         carry = chunk[cut:]
         yield chunk[:cut]
     yield carry

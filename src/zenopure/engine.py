@@ -129,7 +129,8 @@ class BipartiteSystem:
         for number, (idx, m) in enumerate(blocks):
             idx = np.asarray(idx)
             m = np.asarray(m, dtype=complex)
-            if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            # np.asarray([]) is float64: an empty block passes whatever its dtype.
+            if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
                 raise ValueError(f"block {number} indices must be a 1-d integer sequence")
             if m.shape != (len(idx), len(idx)):
                 raise ValueError(

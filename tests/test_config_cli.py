@@ -1,5 +1,6 @@
 """Tests for the config format, matrix file IO, and the command line."""
 
+import dataclasses
 import inspect
 import os
 import pathlib
@@ -196,6 +197,19 @@ def test_cutoffs_default_and_are_written_for_the_oscillator_model_only():
     assert "n_max_a = 30\nn_max_b = 30\n" in emit_config(oscillator)
 
 
+def test_emit_writes_every_field_that_is_set():
+    # Every field set at once, past the per-model refusals: a field added to
+    # ExperimentConfig but not to config's key table is not written.
+    sample = {"str": "s", "int": 3, "float": 0.5, "complex": 0.5 - 0.25j,
+              "tuple[int, ...]": (1, 2), "tuple[complex, ...]": (1 + 2j,)}
+    cfg = object.__new__(ExperimentConfig)
+    for field in dataclasses.fields(ExperimentConfig):
+        object.__setattr__(cfg, field.name, sample[field.type.removesuffix(" | None")])
+    keys = {line.partition(" = ")[0] for line in emit_config(cfg).splitlines()[1:]}
+    for field in dataclasses.fields(ExperimentConfig):
+        assert field.name in keys or {field.name + "_re", field.name + "_im"} <= keys, field.name
+
+
 BAD_CONFIGS = [
     "",  # no section at all
     "kind = \"oscillator\"\n",  # key outside any section
@@ -286,6 +300,21 @@ CARRIES_OSCILLATOR_KEYS = "explicit model must not carry oscillator parameters"
         "explicit_n_max_b", "propagator_n_max", "propagator_tau",
         "propagator_negative_tau"])
 def test_parse_refusals_word_for_word(text, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(text)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    (FIG1_CONFIG.replace("g = 0.2", 'g = "x"') + "mystery = 1\n", "key 'g' has the wrong type"),
+    (EXPLICIT_H.replace("tau = 0.5", 'tau = "x"') + "g = 0.2\n", "key 'tau' has the wrong type"),
+    (FIG1_CONFIG.replace("alpha_re = 0.5", "alpha_re = true").replace("g = 0.2", 'g = "x"'),
+     "key 'alpha_re' has the wrong type"),
+    (FIG1_CONFIG.replace("g = 0.2\n", "") + "mystery = 1\n", "oscillator model is missing 'g'"),
+], ids=["wrong_type_and_unknown_key", "wrong_type_and_oscillator_key_on_explicit",
+        "two_wrong_types", "validation_and_unknown_key"])
+def test_parse_reports_the_first_of_two_faults(text, message):
+    # Type checks in key order, then the per-model checks, then unknown keys.
     with pytest.raises(ConfigError) as caught:
         parse_config(text)
     assert str(caught.value) == message
@@ -513,15 +542,29 @@ def test_matrix_file_load_heap_stays_near_file_size(tmp_path):
     assert peak <= 3 * size
 
 
-def test_matrix_file_nbsp_keeps_heap_bound_and_output(tmp_path, capsys):
-    # One NBSP separator sends only the run that holds it to float().
+def test_matrix_file_run_cuts_know_every_str_split_separator():
+    spaces = {chr(c).encode() for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert spaces == set(config._ASCII_SPACE) | set(config._OTHER_SPACE)
+
+
+def one_nbsp(text):
+    middle = text.index(b" ", len(text) // 2)
+    return text[:middle] + "\xa0".encode() + text[middle + 1:]
+
+
+def no_ascii_space(text):
+    return text.replace(b" ", "\xa0".encode()).replace(b"\n", "\u3000".encode())
+
+
+@pytest.mark.parametrize("respace", [one_nbsp, no_ascii_space])
+def test_matrix_file_nbsp_keeps_heap_bound_and_output(tmp_path, capsys, respace):
+    # Non-ASCII separators send only the runs that hold them to float(), and
+    # a file with no ASCII whitespace is still cut into runs of about a chunk.
     rng = np.random.default_rng(13)
     m = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
     save_matrix_file(str(tmp_path / "clean.mat"), 4, 40, (m + m.conj().T) / 2)
-    text = (tmp_path / "clean.mat").read_bytes()
-    middle = text.index(b" ", len(text) // 2)
     path = tmp_path / "nbsp.mat"
-    path.write_bytes(text[:middle] + "\xa0".encode() + text[middle + 1:])
+    path.write_bytes(respace((tmp_path / "clean.mat").read_bytes()))
     size = path.stat().st_size
     assert size >= 8 * config._CHUNK_BYTES
     tracemalloc.start()

@@ -196,7 +196,8 @@ def test_from_blocks_matches_dense_constructor(seed):
 def test_from_blocks_keeps_each_given_block_whole():
     # The first block's own pattern falls apart into {0, 2} and {1, 3}: the
     # dense constructor splits it, but a given block is H's coupled block as
-    # it stands, and the empty block is dropped. V is the same to rounding.
+    # it stands, and each empty block is dropped, a plain [] of indices too.
+    # V is the same to rounding.
     rng = np.random.default_rng(11)
 
     def hermitian(n):
@@ -212,6 +213,7 @@ def test_from_blocks_keeps_each_given_block_whole():
     h[np.ix_([5, 4], [5, 4])] = pair
     built = BipartiteSystem.from_blocks(2, 3, [
         ([5, 4], pair), (np.empty(0, dtype=int), np.zeros((0, 0))), ([0, 1, 2, 3], split),
+        ([], np.zeros((0, 0))),
     ])
     dense = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=h)
     np.testing.assert_array_equal(built.hamiltonian, h)
@@ -237,11 +239,7 @@ def test_from_blocks_refuses_malformed_blocks(blocks, message):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_from_blocks_refuses_non_finite_before_block_search(monkeypatch, bad):
-    def no_search(parts):
-        raise AssertionError("the block search ran on a non-finite H")
-
-    monkeypatch.setattr(linalg, "_coupled_blocks", no_search)
+def test_from_blocks_refuses_a_block_with_non_finite_entries(bad):
     block = np.eye(2, dtype=complex)
     block[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
