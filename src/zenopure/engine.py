@@ -41,7 +41,6 @@ __all__ = [
     "contract_probe",
     "build_projected_propagator",
     "evolve_step",
-    "survival_probability",
     "run_purification",
     "fidelity",
     "trace_distance",
@@ -394,7 +393,10 @@ def evolve_step(rho: DensityMatrix, v: ProjectedPropagator) -> tuple[DensityMatr
     """One confirmed measurement: rho -> V rho V† / p with p = tr(V rho V†).
 
     Returns the renormalized post-measurement state and the conditional
-    success probability p. Raises ExtinctBranch when p falls below
+    success probability p. The state is divided by p as computed, so its
+    trace is 1; the p returned is clipped to 1, which it can pass when a
+    singular value of V lies just above 1 (``ProjectedPropagator`` accepts
+    up to 1 + 1e-9). Raises ExtinctBranch when p falls below
     EXTINCT_THRESHOLD (1e-14), meaning the confirmation outcome never occurs
     and the conditional state is undefined.
     """
@@ -405,39 +407,18 @@ def evolve_step(rho: DensityMatrix, v: ProjectedPropagator) -> tuple[DensityMatr
     p = float(np.trace(out).real)
     if p < EXTINCT_THRESHOLD:
         raise ExtinctBranch(p)
-    p = min(p, 1.0)
     out = (out + out.conj().T) / (2 * p)
-    return _made_state(out), p
+    return _made_state(out), min(p, 1.0)
 
 
 def _made_state(m: np.ndarray) -> DensityMatrix:
-    """``evolve_step``'s state (out + out†) / 2p with out = V rho V†, checked
-    for its trace only: it is Hermitian and positive by construction, but its
-    trace exceeds 1 when tr(out) > 1 (a singular value of V just above 1) is
-    clipped to p = 1."""
+    """``evolve_step``'s state (out + out†) / 2p with out = V rho V† and
+    p = tr(out), checked for its trace only: it is Hermitian and positive by
+    construction."""
     _check_unit_trace(m)
     state = object.__new__(DensityMatrix)
     object.__setattr__(state, "matrix", m)
     return state
-
-
-def _n_step(v: ProjectedPropagator, rho: DensityMatrix, n: int) -> tuple[np.ndarray, float]:
-    """V^n and the n-step yield tr(V^n rho V†^n), clipped to [0, 1]."""
-    w = np.linalg.matrix_power(v.matrix, n)
-    p = float(np.trace(w @ rho.matrix @ w.conj().T).real)
-    return w, min(max(p, 0.0), 1.0)
-
-
-def survival_probability(rho: DensityMatrix, v: ProjectedPropagator, n: int) -> float:
-    """Probability that n consecutive confirmations all succeed.
-
-    Equals tr(V^n rho V†^n); n = 0 gives 1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if rho.dim != v.dim:
-        raise ValueError(f"state dim {rho.dim} does not match propagator dim {v.dim}")
-    return _n_step(v, rho, n)[1]
 
 
 def fidelity(rho: DensityMatrix, pure: np.ndarray) -> float:
@@ -546,10 +527,11 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
     The system's one block decomposition of H serves the whole scan. For
     each n the propagator V(total_time / n) then costs one small matrix
     product, W = V^n is formed, and the scan records the n-step yield
-    tr(W rho0 W†), as ``survival_probability`` gives it, together with the
-    unitarity defect ||W†W - 1||_F of the same W. As n
-    grows the repeated projection freezes the leakage out of the probe
-    state and W approaches a unitary on B (the frequent-measurement limit).
+    tr(W rho0 W†), the probability that all n confirmations succeed, clipped
+    to [0, 1], together with the unitarity defect ||W†W - 1||_F of the same
+    W. As n grows the repeated projection freezes the leakage out of the
+    probe state and W approaches a unitary on B (the frequent-measurement
+    limit).
 
     Points are independent; ``jobs`` > 1 evaluates them in a thread pool.
     Results are returned in input order regardless of scheduling.
@@ -568,9 +550,11 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
 
     def point(n: int) -> ZenoScanPoint:
         tau = total_time / n
-        w, prob = _n_step(contraction.propagator(tau), rho0, n)
+        w = np.linalg.matrix_power(contraction.propagator(tau).matrix, n)
+        prob = float(np.trace(w @ rho0.matrix @ w.conj().T).real)
         defect = float(np.linalg.norm(w.conj().T @ w - eye))
-        return ZenoScanPoint(n=n, tau=tau, yield_probability=prob, unitarity_defect=defect)
+        return ZenoScanPoint(n=n, tau=tau, yield_probability=min(max(prob, 0.0), 1.0),
+                             unitarity_defect=defect)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -1,6 +1,6 @@
 """Complex linear algebra for contraction spectra.
 
-Hermitian eigendecomposition, unitary exponentials, and dominant-eigenpair
+Hermitian eigendecomposition, unitary exponentials, and ranked eigenpair
 extraction for the non-Hermitian contractions that repeated-measurement
 propagators produce. Arrays are dense complex128, but a Hermitian matrix
 is never diagonalized whole when it need not be: the connected components
@@ -16,19 +16,23 @@ are taken as they are. Either way the symmetry bound ||m - m†||_F <= 1e-9
 ||m||_F is summed over the blocks once (``_checked_blocks``, through
 ``_check_hermitian``, the one place that raises NotHermitian), and they are
 then decomposed without testing them again (``_decompose_blocks``).
-``block_eigendecompose`` does both for a raw matrix;
+``unitary_exponential`` does both for a raw matrix;
 ``engine.BipartiteSystem`` checks its blocks when it is built, keeps them,
 and decomposes them on first use.
 
 The eigenpair routines take the whole spectrum from one LAPACK ``eig``
 (``numpy.linalg.eig``; importing scipy would cost every fresh process far
 more than the solve), rank it by magnitude, and take each left vector from
-the eigenvector matrix R by solving R† Y = E_k, so <left|right> = 1 holds by
-construction. A pair is refused (NoConvergence) rather than picked when its
-magnitude ties with the next eigenvalue's (relative gap at or below
-TIE_GAP) or when it is near-defective (unit left/right overlap below
-MIN_OVERLAP): downstream purification logic must know when the dominant
-eigenvalue is not unique. The refusal reports the measured gap or overlap.
+the eigenvector matrix R by solving R† Y = E_k. A pair is refused
+(NoConvergence) rather than picked when its magnitude ties with the next
+eigenvalue's (relative gap at or below TIE_GAP), when it is near-defective
+(unit left/right overlap below MIN_OVERLAP) or when its residual exceeds
+DEFAULT_TOL: downstream purification logic must know when the dominant
+eigenvalue is not unique. The refusal reports the measured gap, overlap or
+residual. The left vector of a pair that is kept is refined by one
+inverse-iteration step on (M - lambda 1)† and scaled to <left|right> = 1,
+so it stays an accurate left eigenvector when a defective eigenvalue below
+it leaves R nearly singular.
 """
 
 from __future__ import annotations
@@ -44,10 +48,8 @@ __all__ = [
     "EigenPair",
     "TopKResult",
     "hermitian_eigendecompose",
-    "block_eigendecompose",
     "unitary_from_blocks",
     "unitary_exponential",
-    "dominant_eigenpair",
     "top_k_eigenpairs",
 ]
 
@@ -120,7 +122,9 @@ class EigenPair:
     """One eigenvalue with its right and left eigenvectors.
 
     Gauge: ``right`` has unit Euclidean norm and ``left`` is scaled so that
-    <left|right> = 1. ``residual`` is the achieved ||M right - value right||.
+    <left|right> = 1. ``residual`` is the achieved ||M right - value right||;
+    ``left`` solves M† left = conj(value) left to a relative residual
+    ||M† left - conj(value) left|| / ||left|| at most DEFAULT_TOL as well.
     """
 
     value: complex
@@ -282,20 +286,6 @@ def _decompose_blocks(found, matrices) -> tuple[HermitianBlock, ...]:
     return tuple(hermitian_eigendecompose(s, indices=idx) for idx, s in zip(found, matrices))
 
 
-def block_eigendecompose(m) -> tuple[HermitianBlock, ...]:
-    """Eigendecompose a Hermitian matrix one coupled block at a time.
-
-    The blocks are the connected components of the exact nonzero pattern of
-    m; each is eigendecomposed by ``hermitian_eigendecompose``. The symmetry
-    test is the one ``hermitian_eigendecompose`` makes on m as a whole,
-    ||m - m†||_F <= 1e-9 ||m||_F, summed over the blocks, so a block whose
-    own asymmetry is large only against its own small norm is accepted, and
-    its Hermitian part is decomposed. A matrix that is one block is passed
-    as it stands, without copying it out.
-    """
-    return _decompose_blocks(*_dense_blocks(_as_square(m)))
-
-
 def _block_selection(groups, d: int, indices):
     """Where ``indices`` meet the disjoint index sets ``groups`` covering range(d).
 
@@ -320,7 +310,7 @@ def _block_selection(groups, d: int, indices):
 
 def unitary_from_blocks(blocks: tuple[HermitianBlock, ...], t: float,
                         indices=None) -> np.ndarray:
-    """exp(-i h t) assembled from ``block_eigendecompose(h)``.
+    """exp(-i h t) assembled from the eigendecomposed coupled blocks of h.
 
     Each block contributes Q diag(exp(-i E t)) Q† on its own indices; every
     entry between two different blocks is zero. With ``indices`` only
@@ -344,7 +334,30 @@ def unitary_exponential(h, t: float) -> np.ndarray:
 
     Returns Q diag(exp(-i E t)) Q† block by block, unitary up to rounding.
     """
-    return unitary_from_blocks(block_eigendecompose(h), t)
+    return unitary_from_blocks(_decompose_blocks(*_dense_blocks(_as_square(h))), t)
+
+
+def _refined_left(a: np.ndarray, value: complex, left: np.ndarray) -> np.ndarray:
+    """``left`` after one inverse-iteration step on (a - value 1)†, in no
+    particular gauge.
+
+    Below a defective eigenvalue, R† Y = E_k is solved against a nearly
+    singular R, and the error lands along that eigenvalue's left vector.
+    One solve magnifies the component along value's own left vector by
+    1 / |value - exact value|, which rounding makes tiny, and every other
+    component only by the inverse distance to its eigenvalue, so the error
+    is divided out (Golub & Van Loan, *Matrix Computations*, §7.6).
+    When a - value 1 is exactly singular the solve cannot be made, and
+    ``left`` is kept as it is; for a diagonal a, the usual case, R is a
+    permutation and ``left`` already exact. It is kept too when the solve
+    overflows to a non-finite vector, as it can for an a near underflow.
+    """
+    shifted = (a - value * np.eye(a.shape[0])).conj().T
+    try:
+        refined = np.linalg.solve(shifted, left)
+    except np.linalg.LinAlgError:
+        return left
+    return refined if np.isfinite(refined).all() else left
 
 
 def _ranked_pairs(a: np.ndarray, k: int):
@@ -398,29 +411,10 @@ def _ranked_pairs(a: np.ndarray, k: int):
             return pairs, NoConvergence(
                 f"residual {residual:.3e} above tolerance {DEFAULT_TOL:.1e}", residual
             )
+        left = _refined_left(a, value, left)
         left = left / np.conj(np.vdot(left, right))
         pairs.append(EigenPair(value=value, right=right, left=left, residual=residual))
     return pairs, None
-
-
-def dominant_eigenpair(m) -> EigenPair:
-    """Largest-magnitude eigenvalue with right and left eigenvectors.
-
-    The first pair ``top_k_eigenpairs`` would return, from one LAPACK
-    ``eig`` of m.
-
-    Raises NoConvergence when the pair is refused, with the measured value
-    in the message: when |lambda0| ties with |lambda1| (relative gap
-    (|lambda0| - |lambda1|) / |lambda0| at or below TIE_GAP, 1e-6), so that
-    no unique dominant eigenvalue exists, which is exactly the condition
-    purification analysis must detect; when the pair is near-defective
-    (unit left/right overlap |<v|u>| below MIN_OVERLAP, 1e-8); or when its
-    residual exceeds DEFAULT_TOL, 1e-10.
-    """
-    pairs, refusal = _ranked_pairs(_as_square(m), 1)
-    if refusal is not None:
-        raise refusal
-    return pairs[0]
 
 
 def top_k_eigenpairs(m, k: int) -> TopKResult:
@@ -428,11 +422,13 @@ def top_k_eigenpairs(m, k: int) -> TopKResult:
 
     Every returned pair satisfies the EigenPair contract for m, with
     residual at most DEFAULT_TOL (1e-10). Pairs are taken in order until the
-    first one refused by ``dominant_eigenpair``'s rule: a relative magnitude
-    gap to the next eigenvalue at or below TIE_GAP (1e-6), a unit left/right
-    overlap below MIN_OVERLAP (1e-8), or a residual above DEFAULT_TOL. The
-    result is then ``truncated`` and holds only the pairs before it; no
-    exception is raised.
+    first refused one: a relative magnitude gap to the next eigenvalue at or
+    below TIE_GAP (1e-6), so that the pair is not unique, a unit left/right
+    overlap below MIN_OVERLAP (1e-8), so that it is near-defective, or a
+    residual above DEFAULT_TOL. The result is then ``truncated`` and holds
+    only the pairs before it; no exception is raised. The refusal itself,
+    with the measured gap, overlap or residual, is what ``_ranked_pairs``
+    returns beside the pairs.
     """
     pairs, refusal = _ranked_pairs(_as_square(m), k)
     return TopKResult(pairs=tuple(pairs), truncated=refusal is not None)

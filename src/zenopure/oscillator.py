@@ -41,7 +41,6 @@ __all__ = [
     "destroy",
     "coefficients",
     "lambda_n",
-    "eigenvector_u_n",
     "build_hamiltonian",
     "coherent_state",
     "thermal_state",
@@ -255,44 +254,6 @@ def lambda_n(c: ClosedFormCoefficients, n: int) -> complex:
     return complex(c.lambda0 * c.exp_c ** n)
 
 
-def _eigenvector_generator(c: ClosedFormCoefficients, cutoff: int) -> np.ndarray | None:
-    """The generator of the eigenvector map U = exp[r (alpha* b + alpha b†)],
-    r = A/(1 - e^{-C}) and alpha = alpha_tilde / r, on the truncated Fock
-    space, or None when r = 0 and U is the identity."""
-    r = c.a_coef / (1.0 - c.exp_neg_c)
-    if r == 0:
-        return None
-    alpha = c.alpha_tilde / r
-    b = destroy(cutoff)
-    return r * (np.conj(alpha) * b + alpha * b.conj().T)
-
-
-def eigenvector_u_n(c: ClosedFormCoefficients, n: int, cutoff: int) -> np.ndarray:
-    """n-th right eigenvector in the truncated Fock basis, unit-normalized.
-
-    Applies U = exp[r (alpha* b + alpha b†)], r = A/(1 - e^{-C}), to the
-    number state |n>. For n = 0 this is the coherent state alpha_tilde up
-    to normalization. Raises CutoffTooSmall when the top Fock component
-    still carries more than 1e-8 of the probability.
-    """
-    if not 0 <= n < cutoff:
-        raise ValueError(f"need 0 <= n < cutoff, got n={n}, cutoff={cutoff}")
-    gen = _eigenvector_generator(c, cutoff)
-    if gen is None:
-        vec = np.zeros(cutoff, dtype=complex)
-        vec[n] = 1.0
-        return vec
-    from scipy.linalg import expm
-
-    vec = expm(gen)[:, n]
-    vec = vec / np.linalg.norm(vec)
-    if abs(vec[-1]) ** 2 > 1e-8:
-        raise CutoffTooSmall(
-            f"eigenvector {n} has boundary weight {abs(vec[-1])**2:.3e} at cutoff {cutoff}"
-        )
-    return vec
-
-
 def _excitation_states(na: int, nb: int):
     """Occupations (n_a, n_b) of the states with n_a + n_b = k, by ascending
     n_a and so by ascending composite index n_a * nb + n_b, for each k."""
@@ -421,20 +382,26 @@ def closed_form_rho(p: OscillatorParams, n: int) -> ThermalTrajectoryClosedForm:
 def closed_form_propagator(p: OscillatorParams) -> np.ndarray:
     """Projected propagator assembled from its closed-form spectral data.
 
-    lambda0 * U diag((e^C)^k) U^{-1} with U the eigenvector map of
-    eigenvector_u_n. This is the branch-free realization of the geometric
+    lambda0 * U diag((e^C)^k) U^{-1} with U = exp[r (alpha* b + alpha b†)],
+    r = A/(1 - e^{-C}) and alpha = alpha_tilde / r, the eigenvector map: its
+    column k, U|k>, is the k-th right eigenvector, with eigenvalue
+    lambda0 (e^C)^k, and column 0 the coherent state alpha_tilde up to
+    normalization. This is the branch-free realization of the geometric
     spectrum and serves as the entrywise oracle for the engine-built
     propagator; like every truncated closed form it is trustworthy on
-    low-occupation blocks only.
+    low-occupation blocks only, away from the Fock boundary.
     """
     c = coefficients(p)
     nb = p.n_max_b
     powers = c.exp_c ** np.arange(nb)
-    gen = _eigenvector_generator(c, nb)
-    if gen is None:
+    r = c.a_coef / (1.0 - c.exp_neg_c)
+    if r == 0:  # U is the identity
         return np.diag(c.lambda0 * powers)
     from scipy.linalg import expm
 
+    alpha = c.alpha_tilde / r
+    b = destroy(nb)
+    gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
     u = expm(gen)
     u_inv = expm(-gen)
     return c.lambda0 * (u * powers) @ u_inv

@@ -4,8 +4,9 @@ Each check prints one PASS/FAIL line carrying the measured value next to
 its bound, so a verbose run reads as a checklist. Criteria 1 to 8 pin the
 reference parameter set (resonant modes, g = 0.2, coherent probe amplitude
 0.5, thermal start at beta = 1, interval tuned to the plus normal mode,
-Fock cutoff 30); criterion 9 exercises the randomized engine and
-eigensolver contracts.
+Fock cutoff 30), and so does criterion 7's companion, at half the tuned
+interval; criterion 9 exercises the randomized engine and eigensolver
+contracts.
 
 The closed-form numbers used as oracles here are recomputed locally from
 the raw parameters, independent of the production implementation, so
@@ -27,12 +28,7 @@ from zenopure.engine import (
     trace_distance,
     zeno_limit_scan,
 )
-from zenopure.linalg import (
-    NoConvergence,
-    dominant_eigenpair,
-    top_k_eigenpairs,
-    unitary_exponential,
-)
+from zenopure.linalg import NoConvergence, top_k_eigenpairs, unitary_exponential
 from zenopure.oscillator import (
     OscillatorParams,
     build_hamiltonian,
@@ -90,7 +86,7 @@ def coherent_target_dm(p: OscillatorParams) -> tuple[np.ndarray, DensityMatrix]:
 
 def test_criterion_1_tuned_dominant_eigenvalue(reference):
     p, v = reference.p, reference.v
-    lam_numeric = dominant_eigenpair(v.matrix).value
+    lam_numeric = top_k_eigenpairs(v.matrix, 1).pairs[0].value
     c = local_coefficients(p)
     # closed form, exponential route
     w = 1 - c.exp_b - c.a ** 2 / (1 - 1 / c.exp_c)
@@ -215,6 +211,28 @@ def test_criterion_7_measurement_splitting_monotonicity(reference):
         "measurement already sits at |lambda0| = 1 and splitting it first "
         "detunes the interval: the n = 1 -> 2 step moves against both "
         "orderings",
+    )
+
+
+def test_criterion_7_companion_zeno_side_at_half_the_tuned_interval(reference):
+    # The same scan at total time TUNED_TAU / 2, away from the tuned
+    # interval: no n sits at |lambda0| = 1, and from n = 1 on more frequent
+    # confirmation raises the yield and brings W closer to a unitary, the
+    # quantum Zeno side (Misra & Sudarshan, J. Math. Phys. 18, 756, 1977).
+    points = zeno_limit_scan(
+        reference.system, reference.phi, reference.rho0, TUNED_TAU / 2,
+        [1, 2, 4, 8, 16, 32],
+    )
+    yields = [point.yield_probability for point in points]
+    defects = [point.unitarity_defect for point in points]
+    yields_up = all(b > a for a, b in zip(yields, yields[1:]))
+    defects_down = all(b < a for a, b in zip(defects, defects[1:]))
+    verdict(
+        "criterion 7 companion, Zeno-side monotonicity at half the tuned interval",
+        yields_up and defects_down,
+        "yields " + str([round(y, 6) for y in yields])
+        + ", defects " + str([round(d, 6) for d in defects])
+        + "; both must move strictly from n = 1 on",
     )
 
 

@@ -17,7 +17,6 @@ from zenopure.engine import (
     fidelity,
     run_purification,
     spectral_report,
-    survival_probability,
     trace_distance,
     zeno_limit_scan,
 )
@@ -47,6 +46,13 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def n_step_yield(rho: DensityMatrix, v: ProjectedPropagator, n: int) -> float:
+    """tr(V^n rho V^n†), the probability that n confirmations in a row all
+    succeed, clipped to [0, 1] as ``zeno_limit_scan`` clips it."""
+    w = np.linalg.matrix_power(v.matrix, n)
+    return min(max(float(np.trace(w @ rho.matrix @ w.conj().T).real), 0.0), 1.0)
 
 
 def random_physical_propagator(rng: np.random.Generator, dim_a: int,
@@ -297,7 +303,8 @@ def test_density_matrix_validation():
     (lambda: ProjectedPropagator(matrix=np.diag([1.5, 0.2]), tau=1.0),
      r"largest singular value 1\.5\d* exceeds 1: not a contraction$"),
     (lambda: DensityMatrix(np.diag([1.5, -0.5])), r"state has negative eigenvalue -0\.5\d*$"),
-], ids=["probe_norm", "singular_value", "negative_eigenvalue"])
+    (lambda: DensityMatrix(np.diag([0.7, 0.7])), r"state trace is 1\.4\d*, expected 1$"),
+], ids=["probe_norm", "singular_value", "negative_eigenvalue", "state_trace"])
 def test_value_refusals_print_plain_floats(build, message):
     # The measured value is printed as a float, not as a numpy scalar's repr.
     with pytest.raises(ValueError, match=message) as refused:
@@ -319,15 +326,11 @@ HALF_V = ProjectedPropagator(matrix=np.eye(2) / 2, tau=1.0)
     (lambda: DensityMatrix(np.ones(2) / 2), "state must be square, got shape (2,)"),
     (lambda: evolve_step(DensityMatrix(np.eye(3) / 3), HALF_V),
      "state dim 3 does not match propagator dim 2"),
-    (lambda: survival_probability(HALF_MIXED, HALF_V, -1), "n must be nonnegative"),
-    (lambda: survival_probability(DensityMatrix(np.eye(3) / 3), HALF_V, 1),
-     "state dim 3 does not match propagator dim 2"),
     (lambda: fidelity(HALF_MIXED, np.array([1.0, 0.0, 0.0])),
      "vector dim 3 does not match state dim 2"),
     (lambda: fidelity(HALF_MIXED, np.array([1.0, 1.0])), "target state must be unit-norm"),
 ], ids=["dense_dimensions", "block_dimensions", "propagator_square", "negative_tau",
-        "state_square", "evolve_dims", "negative_n", "survival_dims", "fidelity_dims",
-        "fidelity_norm"])
+        "state_square", "evolve_dims", "fidelity_dims", "fidelity_norm"])
 def test_refusals_name_the_fault(build, message):
     with pytest.raises(ValueError) as refused:
         build()
@@ -420,13 +423,23 @@ def test_evolve_step_projective():
     np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
 
-def test_evolve_step_refuses_state_off_unit_trace():
-    # A singular value just above 1 passes the contraction check, but
-    # tr(V rho V†) > 1 is clipped to p = 1, so the state's trace is not 1.
+def test_evolve_step_normalizes_by_the_unclipped_trace():
+    # A singular value just above 1 passes the contraction check, and
+    # tr(V rho V†) = (1 + 5e-10)^2 > 1. The state is divided by that trace,
+    # so it keeps unit trace; only the reported p is clipped to 1.
     rho = DensityMatrix(np.diag([1.0, 0.0]))
     v = ProjectedPropagator(matrix=np.diag([1 + 5e-10, 0.5]), tau=1.0)
-    with pytest.raises(ValueError, match="state trace is .*, expected 1$"):
-        evolve_step(rho, v)
+    out, p = evolve_step(rho, v)
+    assert p == 1.0
+    assert abs(np.trace(out.matrix).real - 1.0) <= 1e-15
+    np.testing.assert_allclose(out.matrix, rho.matrix, rtol=0, atol=1e-15)
+    # Over many steps the clipped trace would grow by about 1e-9 a step.
+    traj = run_purification(DensityMatrix(np.eye(2) / 2), v, 200)
+    assert len(traj.steps) == 201 and not traj.truncated
+    for step in traj.steps:
+        assert abs(np.trace(step.state.matrix).real - 1.0) <= 1e-14
+        assert step.conditional_probability <= 1.0
+        DensityMatrix(step.state.matrix)
 
 
 def test_evolve_step_extinct_branch():
@@ -436,19 +449,23 @@ def test_evolve_step_extinct_branch():
         evolve_step(rho, v)
 
 
-def test_survival_probability_basics():
+def test_unitary_propagator_always_survives():
     rng = np.random.default_rng(8)
     rho = random_density(rng, 4)
     u = unitary_exponential(np.diag([0.3, 1.0, 2.2, 0.1]), 0.7)
     v = ProjectedPropagator(matrix=u, tau=0.7)
-    assert survival_probability(rho, v, 0) == pytest.approx(1.0)
+    assert n_step_yield(rho, v, 0) == pytest.approx(1.0)
+    traj = run_purification(rho, v, 7)
     for n in (1, 3, 7):
-        assert survival_probability(rho, v, n) == pytest.approx(1.0, abs=1e-10)
+        assert n_step_yield(rho, v, n) == pytest.approx(1.0, abs=1e-10)
+        assert traj.steps[n].cumulative_yield == pytest.approx(1.0, abs=1e-10)
 
 
-def test_survival_probability_non_increasing_and_plateaued():
+def test_cumulative_yield_is_the_n_step_yield_non_increasing_and_plateaued():
     _, _, v, rho0 = reference_setup()
-    seq = [survival_probability(rho0, v, n) for n in range(31)]
+    seq = [step.cumulative_yield for step in run_purification(rho0, v, 30).steps]
+    for n in range(31):
+        assert seq[n] == pytest.approx(n_step_yield(rho0, v, n), rel=1e-10)
     assert all(seq[n + 1] <= seq[n] + 1e-12 for n in range(30))
     assert seq[30] > 0.5  # strictly positive plateau
 
@@ -498,7 +515,7 @@ def test_run_purification_invariants():
         # consistency with the matrix-power route
         n_last = traj.steps[-1].n
         assert traj.steps[-1].cumulative_yield == pytest.approx(
-            survival_probability(rho, v, n_last), rel=1e-10
+            n_step_yield(rho, v, n_last), rel=1e-10
         )
 
 
@@ -677,7 +694,7 @@ def test_zeno_scan_single_point_matches_survival():
     assert points[0].n == 1
     assert points[0].tau == pytest.approx(REFERENCE.tau)
     assert points[0].yield_probability == pytest.approx(
-        survival_probability(rho0, v, 1), rel=1e-10
+        n_step_yield(rho0, v, 1), rel=1e-10
     )
 
 
@@ -687,7 +704,7 @@ def test_zeno_scan_yields_are_survival_probabilities():
     points = zeno_limit_scan(sys_, phi, rho0, REFERENCE.tau, n_values)
     for point, n in zip(points, n_values):
         v = build_projected_propagator(sys_, phi, REFERENCE.tau / n)
-        assert point.yield_probability == survival_probability(rho0, v, n)
+        assert point.yield_probability == n_step_yield(rho0, v, n)
 
 
 def test_zeno_scan_decoupled_hamiltonian():

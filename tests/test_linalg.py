@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zenopure.engine import BipartiteSystem
 from zenopure.linalg import (
     DEFAULT_TOL,
     NoConvergence,
     NotHermitian,
     TopKResult,
-    block_eigendecompose,
-    dominant_eigenpair,
+    _ranked_pairs,
     hermitian_eigendecompose,
     top_k_eigenpairs,
     unitary_exponential,
@@ -66,6 +66,36 @@ def planted_spectrum(rng: np.random.Generator, magnitudes) -> np.ndarray:
     return (s * values) @ np.linalg.inv(s)
 
 
+def planted_jordan(rng: np.random.Generator) -> np.ndarray:
+    """S J S^-1 for a random complex S, with J = diag(0.9, 0.7, 0.5, 0.5,
+    0.2) plus a 0.3 coupling between the two 0.5 entries: a defective
+    eigenvalue below two simple ones."""
+    s = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    j = np.diag([0.9, 0.7, 0.5, 0.5, 0.2]).astype(complex)
+    j[2, 3] = 0.3
+    return s @ j @ np.linalg.inv(s)
+
+
+def refusal(m) -> NoConvergence:
+    """The NoConvergence that refuses m's top pair, with the measured gap,
+    overlap or residual, as ``_ranked_pairs`` returns it beside the pairs
+    ``top_k_eigenpairs`` keeps."""
+    _, refused = _ranked_pairs(np.asarray(m, dtype=complex), 1)
+    assert isinstance(refused, NoConvergence)
+    return refused
+
+
+def assert_eigenpair_contract(m: np.ndarray, pair) -> None:
+    """The EigenPair contract: a unit right vector, <left|right> = 1, and
+    right and left residuals within DEFAULT_TOL, the left one relative."""
+    assert abs(np.linalg.norm(pair.right) - 1.0) <= 1e-12
+    assert abs(np.vdot(pair.left, pair.right) - 1.0) <= 1e-10
+    assert pair.residual <= DEFAULT_TOL
+    assert np.linalg.norm(m @ pair.right - pair.value * pair.right) <= DEFAULT_TOL
+    left_residual = np.linalg.norm(m.conj().T @ pair.left - np.conj(pair.value) * pair.left)
+    assert left_residual <= DEFAULT_TOL * np.linalg.norm(pair.left)
+
+
 def test_charpoly_oracle_sanity():
     # diag(3, 2): p(x) = x^2 - 5x + 6
     coeffs = characteristic_polynomial(np.diag([3.0, 2.0]).astype(complex))
@@ -74,11 +104,9 @@ def test_charpoly_oracle_sanity():
 
 @pytest.mark.parametrize("entry", [
     hermitian_eigendecompose,
-    block_eigendecompose,
     lambda m: unitary_exponential(m, 1.0),
-    dominant_eigenpair,
     lambda m: top_k_eigenpairs(m, 1),
-], ids=["hermitian", "blocks", "unitary", "dominant", "top_k"])
+], ids=["hermitian", "unitary", "top_k"])
 def test_matrix_refusals_name_the_fault(entry):
     # Every public entry point takes its matrix through one shape and
     # finiteness check, with the same three messages.
@@ -218,31 +246,37 @@ def test_unitary_exponential_is_unitary(seed, dim):
     assert np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= 1e-9 * np.sqrt(dim)
 
 
-def test_block_eigendecompose_fully_coupled_is_one_block():
+def search(h) -> BipartiteSystem:
+    """The system whose dense H is h, searched for its coupled blocks."""
+    return BipartiteSystem(dim_a=1, dim_b=len(h), hamiltonian=h)
+
+
+def test_block_search_fully_coupled_is_one_block():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    blocks = block_eigendecompose(a + a.conj().T)
-    assert len(blocks) == 1
-    np.testing.assert_array_equal(blocks[0].indices, np.arange(12))
+    system = search(a + a.conj().T)
+    assert len(system.block_indices) == len(system.blocks) == 1
+    np.testing.assert_array_equal(system.blocks[0].indices, np.arange(12))
 
 
-def test_block_eigendecompose_chain_and_isolated():
+def test_block_search_chain_and_isolated():
     # 0-3-1 chained through zero-free entries; 2 and 4 stand alone.
     h = np.diag([1.0, 2.0, 3.0, 4.0, 0.0]).astype(complex)
     h[0, 3] = h[3, 0] = 0.5
     h[1, 3], h[3, 1] = 0.25j, -0.25j
-    blocks = block_eigendecompose(h)
-    assert [list(b.indices) for b in blocks] == [[0, 1, 3], [2], [4]]
+    system = search(h)
+    assert [list(idx) for idx in system.block_indices] == [[0, 1, 3], [2], [4]]
+    assert [list(b.indices) for b in system.blocks] == [[0, 1, 3], [2], [4]]
 
 
-def test_block_eigendecompose_checks_symmetry():
+def test_block_search_checks_symmetry():
     h = np.diag([1.0, 2.0, 3.0]).astype(complex)
     h[1, 2] = 1.0
     with pytest.raises(NotHermitian):
-        block_eigendecompose(h)
+        search(h)
 
 
-def test_block_eigendecompose_symmetry_is_relative_to_whole_matrix():
+def test_block_search_symmetry_is_relative_to_whole_matrix():
     # The small block's asymmetry is 5e-9 of its own norm but far below
     # 1e-9 of the whole matrix's: the matrix is accepted, as it is by
     # hermitian_eigendecompose, and the block's Hermitian part decomposed.
@@ -250,7 +284,7 @@ def test_block_eigendecompose_symmetry_is_relative_to_whole_matrix():
     h[:2, :2] = [[100.0, 30.0], [30.0, -50.0]]
     h[2:, 2:] = [[0.0, 1e-3], [1e-3 + 1e-11, 0.0]]
     whole = hermitian_eigendecompose(h)
-    blocks = block_eigendecompose(h)
+    blocks = search(h).blocks
     assert [list(b.indices) for b in blocks] == [[0, 1], [2, 3]]
     np.testing.assert_allclose(
         np.sort(np.concatenate([b.eigenvalues for b in blocks])),
@@ -262,7 +296,7 @@ def test_block_eigendecompose_symmetry_is_relative_to_whole_matrix():
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
-def test_block_eigendecompose_reconstructs_hidden_blocks(seed):
+def test_block_search_reconstructs_hidden_blocks(seed):
     rng = np.random.default_rng(seed)
     sizes = rng.integers(1, 5, size=rng.integers(1, 5))
     h = np.zeros((sizes.sum(),) * 2, dtype=complex)
@@ -273,7 +307,7 @@ def test_block_eigendecompose_reconstructs_hidden_blocks(seed):
         start += m
     perm = rng.permutation(len(h))
     h = h[np.ix_(perm, perm)]
-    blocks = block_eigendecompose(h)
+    blocks = search(h).blocks
     assert sorted(len(b.indices) for b in blocks) == sorted(sizes)
     rebuilt = np.zeros_like(h)
     for b in blocks:
@@ -282,49 +316,70 @@ def test_block_eigendecompose_reconstructs_hidden_blocks(seed):
     np.testing.assert_allclose(rebuilt, h, atol=1e-12)
 
 
-def test_dominant_eigenpair_diagonal():
-    pair = dominant_eigenpair(np.diag([0.9, 0.5]).astype(complex))
-    assert abs(pair.value - 0.9) < 1e-10
-    assert abs(abs(pair.right[0]) - 1.0) < 1e-8
-    assert abs(pair.right[1]) < 1e-8
-    assert pair.residual <= 1e-10
+def test_top_pair_diagonal():
+    # a - value 1 is exactly singular for every value of a diagonal a, so
+    # no left vector is refined; each is already the exact unit vector.
+    m = np.diag([0.9, 0.5, 0.2]).astype(complex)
+    found = top_k_eigenpairs(m, 3)
+    assert not found.truncated
+    for i, pair in enumerate(found.pairs):
+        assert pair.value == m[i, i]
+        np.testing.assert_array_equal(np.abs(pair.right), np.eye(3)[i])
+        np.testing.assert_array_equal(np.abs(pair.left), np.eye(3)[i])
+        assert pair.residual == 0.0
+        assert_eigenpair_contract(m, pair)
 
 
-def test_dominant_eigenpair_gauge():
+def test_left_vectors_stay_finite_where_the_refining_solve_does_not():
+    # At a scale of 1e-300 the solve for lambda1's refined left vector
+    # returns nan; the pair keeps the left vector solved from R instead,
+    # the one the unscaled matrix gives.
+    m = np.diag([0.9, 0.5, 0.2]).astype(complex)
+    m[0, 1] = 0.3
+    tiny = top_k_eigenpairs(1e-300 * m, 3)
+    assert not tiny.truncated
+    for pair, unscaled in zip(tiny.pairs, top_k_eigenpairs(m, 3).pairs):
+        np.testing.assert_allclose(pair.left, unscaled.left, rtol=1e-12, atol=0)
+
+
+def test_top_pairs_meet_the_eigenpair_contract():
     rng = np.random.default_rng(5)
-    m = random_contraction(rng, 5)
-    pair = dominant_eigenpair(m)
-    assert abs(np.linalg.norm(pair.right) - 1.0) <= 1e-12
-    assert abs(np.vdot(pair.left, pair.right) - 1.0) <= 1e-10
-    assert np.linalg.norm(m @ pair.right - pair.value * pair.right) <= max(
-        pair.residual, 1e-10
-    )
-    # left vector solves the adjoint problem
-    assert (
-        np.linalg.norm(m.conj().T @ pair.left - np.conj(pair.value) * pair.left)
-        <= 1e-8
-    )
+    for _ in range(10):
+        m = random_contraction(rng, int(rng.integers(2, 7)))
+        for pair in top_k_eigenpairs(m, m.shape[0]).pairs:
+            assert_eigenpair_contract(m, pair)
 
 
-def test_dominant_eigenpair_refuses_defective_adjacent():
-    with pytest.raises(NoConvergence):
-        dominant_eigenpair(np.array([[0.5, 0.3], [0.0, 0.5]]))
+@pytest.mark.parametrize("seed", range(4))
+def test_left_vectors_stay_accurate_below_a_defective_eigenvalue(seed):
+    # R, the right-eigenvector matrix, is nearly singular, so the left
+    # vectors solved from it alone have left residuals of about 1e-9.
+    m = planted_jordan(np.random.default_rng(seed))
+    found = top_k_eigenpairs(m, 2)
+    assert not found.truncated
+    np.testing.assert_allclose([p.value for p in found.pairs], [0.9, 0.7], atol=1e-12)
+    for pair in found.pairs:
+        assert_eigenpair_contract(m, pair)
 
 
-def test_dominant_eigenpair_refuses_unitary_tie():
+def test_defective_adjacent_pair_refused():
+    m = np.array([[0.5, 0.3], [0.0, 0.5]])
+    refusal(m)
+    assert top_k_eigenpairs(m, 1).pairs == ()
+
+
+def test_unitary_tie_refused():
     theta = 2 * np.pi / 3
     u = np.diag([1.0, np.exp(1j * theta), np.exp(2j * theta)])
-    with pytest.raises(NoConvergence):
-        dominant_eigenpair(u)
+    assert str(refusal(u)).startswith("magnitude tie: |lambda0| = 1.000000e+00")
+    assert top_k_eigenpairs(u, 1).pairs == ()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_planted_magnitude_tie_refused_with_measured_gap(seed):
     m = planted_spectrum(np.random.default_rng(seed),
                          [0.8 * (1 + 1e-10), 0.8 * (1 - 1e-10), 0.5, 0.3, 0.1])
-    with pytest.raises(NoConvergence) as refusal:
-        dominant_eigenpair(m)
-    gap = float(re.search(r"relative gap (\S+)", str(refusal.value)).group(1))
+    gap = float(re.search(r"relative gap (\S+)", str(refusal(m))).group(1))
     assert abs(gap - 2e-10) <= 2e-12
     found = top_k_eigenpairs(m, 3)
     assert found.truncated and found.pairs == ()
@@ -355,8 +410,7 @@ def test_near_defective_pair_refused_by_overlap():
     # The relative gap, 1e-5, clears the tie threshold, but the left and
     # right vectors of 0.8 overlap only about 8e-10.
     m = np.array([[0.8, 1e4], [0.0, 0.8 * (1 - 1e-5)]])
-    with pytest.raises(NoConvergence, match=re.escape("|<v|u>|")):
-        dominant_eigenpair(m)
+    assert re.search(re.escape("|<v|u>|"), str(refusal(m)))
     found = top_k_eigenpairs(m, 2)
     assert found.truncated and found.pairs == ()
 
@@ -365,9 +419,9 @@ def test_pair_refused_above_residual_tolerance():
     # Eigenvalues 1e7 apart leave a dominant pair that clears the gap and
     # overlap tests but whose residual, about 4e-9, exceeds DEFAULT_TOL.
     m = 1e7 * np.triu(np.random.default_rng(0).standard_normal((40, 40)))
-    with pytest.raises(NoConvergence, match=r"^residual \S+ above tolerance 1\.0e-10$") as refused:
-        dominant_eigenpair(m)
-    assert refused.value.residual > DEFAULT_TOL
+    refused = refusal(m)
+    assert re.search(r"^residual \S+ above tolerance 1\.0e-10$", str(refused))
+    assert refused.residual > DEFAULT_TOL
     assert top_k_eigenpairs(m, 1) == TopKResult(pairs=(), truncated=True)
 
 
@@ -421,10 +475,10 @@ def test_contraction_eigenvalue_bound():
 def test_dominant_eigenvalue_matches_charpoly_roots(seed):
     rng = np.random.default_rng(seed)
     m = random_contraction(rng, int(rng.integers(2, 7)))
-    try:
-        pair = dominant_eigenpair(m)
-    except NoConvergence:
+    found = top_k_eigenpairs(m, 1)
+    if found.truncated:
         return  # tied magnitudes: refusal is the documented contract
+    pair = found.pairs[0]
     roots = eigenvalues_by_charpoly(m)
     assert np.min(np.abs(roots - pair.value)) <= 1e-7
     # and it really is the largest magnitude

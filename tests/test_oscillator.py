@@ -16,15 +16,9 @@ from zenopure.engine import (
     build_projected_propagator,
     fidelity,
     run_purification,
-    survival_probability,
     trace_distance,
 )
-from zenopure.linalg import (
-    block_eigendecompose,
-    dominant_eigenpair,
-    unitary_exponential,
-    unitary_from_blocks,
-)
+from zenopure.linalg import unitary_exponential, unitary_from_blocks
 from zenopure.oscillator import (
     ClosedFormCoefficients,
     CutoffTooSmall,
@@ -37,7 +31,6 @@ from zenopure.oscillator import (
     coefficients,
     coherent_state,
     destroy,
-    eigenvector_u_n,
     factorized_propagator,
     lambda_n,
     thermal_state,
@@ -206,12 +199,31 @@ def test_lambda_n_geometric():
 # ---------------------------------------------------------- eigenvectors
 
 
+def closed_form_eigenvectors(p: OscillatorParams, count: int) -> np.ndarray:
+    """The first ``count`` closed-form right eigenvectors of V, unit columns:
+    U|n> for the eigenvector map U = exp[r (alpha* b + alpha b†)],
+    r = A/(1 - e^{-C}), formed here with scipy's expm on B's Fock space.
+    Each holds at most 1e-8 of its weight on the last Fock state, so a
+    residual taken on the truncated space measures the propagator, not the
+    cutoff."""
+    c = coefficients(p)
+    r = c.a_coef / (1.0 - c.exp_neg_c)
+    b = destroy(p.n_max_b)
+    u = scipy.linalg.expm(r * (np.conj(p.alpha) * b + p.alpha * b.conj().T))[:, :count]
+    u = u / np.linalg.norm(u, axis=0)
+    assert (np.abs(u[-1]) ** 2 <= 1e-8).all()
+    return u
+
+
 def test_eigenvector_ground_is_coherent():
-    c = coefficients(REFERENCE)
-    u0 = eigenvector_u_n(c, 0, 30)
+    u0 = closed_form_eigenvectors(REFERENCE, 1)[:, 0]
     target = coherent_state(-0.5j, 30)
     overlap = abs(np.vdot(target, u0))
     assert overlap >= 1 - 1e-8
+    # closed_form_propagator's dominant eigenvector is that coherent state.
+    w = closed_form_propagator(REFERENCE)
+    lam = coefficients(REFERENCE).lambda0
+    assert np.linalg.norm(w @ target - lam * target) <= 1e-8
 
 
 def test_eigenvector_residuals_against_engine():
@@ -219,30 +231,10 @@ def test_eigenvector_residuals_against_engine():
     phi = ProbeState(coherent_state(REFERENCE.alpha, REFERENCE.n_max_a))
     v = build_projected_propagator(sys_, phi, REFERENCE.tau).matrix
     c = coefficients(REFERENCE)
-    for n in range(4):
-        u = eigenvector_u_n(c, n, 30)
+    for n, u in enumerate(closed_form_eigenvectors(REFERENCE, 4).T):
         lam = lambda_n(c, n)
         residual = np.linalg.norm(v @ u - lam * u) / abs(lam)
         assert residual <= 1e-5
-
-
-def test_eigenvector_decoupled_is_fock():
-    p = OscillatorParams(2.0, 1.0, 0.0, 0.5, beta=1.0, tau=1.0)
-    c = coefficients(p)
-    vec = eigenvector_u_n(c, 2, 6)
-    expected = np.zeros(6)
-    expected[2] = 1.0
-    np.testing.assert_allclose(vec, expected, atol=1e-15)
-
-
-def test_eigenvector_errors():
-    c = coefficients(REFERENCE)
-    with pytest.raises(ValueError):
-        eigenvector_u_n(c, -1, 30)
-    with pytest.raises(ValueError):
-        eigenvector_u_n(c, 30, 30)
-    with pytest.raises(CutoffTooSmall):
-        eigenvector_u_n(c, 0, 2)
 
 
 # ----------------------------------------------------------- hamiltonian
@@ -313,7 +305,7 @@ def test_hamiltonian_excitation_blocks():
     # n_a + n_b is conserved: 59 blocks at cutoff 30, the largest (n = 29)
     # holding 30 states, each block of one total excitation number.
     h = build_hamiltonian(REFERENCE).hamiltonian
-    blocks = [b.indices for b in block_eigendecompose(h)]
+    blocks = BipartiteSystem(dim_a=30, dim_b=30, hamiltonian=h).block_indices
     assert len(blocks) == 59
     assert max(len(b) for b in blocks) == 30
     for idx in blocks:
@@ -436,15 +428,14 @@ def test_closed_form_propagator_decoupled_diagonal():
 
 
 def test_closed_form_propagator_has_the_closed_form_eigenpairs():
-    # closed_form_propagator and eigenvector_u_n build the same eigenvector
-    # map, so W u_n = lambda_n u_n holds away from the Fock cutoff. A complex
-    # alpha tells alpha from its conjugate in the map's generator.
+    # W u_n = lambda_n u_n holds away from the Fock cutoff, with u_n from an
+    # eigenvector map formed in the test. A complex alpha tells alpha from
+    # its conjugate in the map's generator.
     p = OscillatorParams(1.0, 1.0, 0.2, 0.5 - 0.3j, beta=1.0, tau=2.3,
                          n_max_a=30, n_max_b=30)
     c = coefficients(p)
     w = closed_form_propagator(p)
-    for n in range(4):
-        u = eigenvector_u_n(c, n, p.n_max_b)
+    for n, u in enumerate(closed_form_eigenvectors(p, 4).T):
         lam = lambda_n(c, n)
         assert np.linalg.norm(w @ u - lam * u) / abs(lam) <= 1e-8
 
@@ -582,13 +573,12 @@ def test_cutoff_convergence():
         phi = ProbeState(coherent_state(p.alpha, cutoff))
         v = build_projected_propagator(sys_, phi, p.tau)
         rho0 = thermal_state(p.beta, p.omega, cutoff)
-        pair = dominant_eigenpair(v.matrix)
         target = coherent_state(-0.5j, cutoff)
         traj = run_purification(rho0, v, 10, target=target)
         results[cutoff] = (
-            pair.value,
+            v.eigenpairs.pairs[0].value,
             traj.steps[10].fidelity,
-            survival_probability(rho0, v, 10),
+            traj.steps[10].cumulative_yield,
         )
     for a, b in zip(results[30], results[40]):
         assert abs(a - b) <= 1e-6
