@@ -243,15 +243,14 @@ def _closed_form_lines(coeffs, found) -> list[str]:
 def _trajectory_csv(model: _Model, steps: int) -> str:
     v = _propagator(model)
     target = _target_vector(model, v)
-    trajectory = engine.run_purification(model.rho0, v, steps, target=target)
-    target_dm = None
+    trajectory = engine.run_purification(model.rho0, v, steps)
     if target is not None:
         target_dm = engine.DensityMatrix(np.outer(target, target.conj()))
     lines = ["N,conditional_probability,yield,fidelity,purity,trace_distance_to_target"]
     for step in trajectory.steps:
-        fid = "" if step.fidelity is None else _fmt(step.fidelity)
-        dist = ""
-        if target_dm is not None:
+        fid = dist = ""
+        if target is not None:
+            fid = _fmt(engine.fidelity(step.state, target))
             dist = _fmt(engine.trace_distance(step.state, target_dm))
         lines.append(
             f"{step.n},{_fmt(step.conditional_probability)},{_fmt(step.cumulative_yield)},"
@@ -357,7 +356,7 @@ def cmd_compare(args) -> int:
         )
         try:
             horizon = min(10, cfg.n_steps)
-            trajectory = engine.run_purification(model.rho0, v, horizon, target=None)
+            trajectory = engine.run_purification(model.rho0, v, horizon)
             worst = 0.0
             for step in trajectory.steps:
                 reference = osc.closed_form_rho(params, step.n)

@@ -271,14 +271,13 @@ def _check_unit_trace(m: np.ndarray) -> None:
 class TrajectoryStep:
     """One record of the conditional evolution.
 
-    n = 0 is the initial state (conditional probability 1 by convention);
-    fidelity is None when no target state was available.
+    n = 0 is the initial state (conditional probability 1 by convention).
+    The fidelity to a target state is ``fidelity(step.state, target)``.
     """
 
     n: int
     conditional_probability: float
     cumulative_yield: float
-    fidelity: float | None
     purity: float
     state: DensityMatrix
 
@@ -302,7 +301,8 @@ class ConditionsReport:
     condition II: small |lambda1/lambda0| (``gap_ratio``), so convergence is
     fast. When the top-two magnitude structure cannot be certified (no gap),
     ``degenerate`` is set, the optional fields are None and both condition
-    flags are off; degeneracy is data, not an error.
+    flags are off; degeneracy is data, not an error. The eigenpairs the
+    report reads are ``v.eigenpairs.pairs``.
     """
 
     lambda0: complex | None
@@ -311,8 +311,6 @@ class ConditionsReport:
     yield_plateau_coefficient: float | None
     condition_i_met: bool
     degenerate: bool
-    u0: np.ndarray | None
-    v0: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -439,26 +437,17 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
-                     target: np.ndarray | None = None) -> PurificationTrajectory:
+def run_purification(rho0: DensityMatrix, v: ProjectedPropagator,
+                     n_max: int) -> PurificationTrajectory:
     """Iterate confirmed measurements for n_max steps from rho0.
 
     Records, for every n in 0..n_max, the conditional success probability,
-    the cumulative yield (their running product), the fidelity to ``target``
-    and the purity. When no target is supplied the dominant right-eigenvector
-    of V is used, taken from ``v.eigenpairs``; if that eigenvector is
-    unavailable (degenerate magnitudes) fidelity is recorded as None. Stops
-    early with ``truncated`` set when the branch goes extinct.
+    the cumulative yield (their running product), the purity and the
+    state. Stops early with ``truncated`` set when the branch goes extinct.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if target is not None:
-        target = np.asarray(target, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(target) - 1.0) > 1e-10:
-            raise ValueError("target state must be unit-norm")
-    elif v.eigenpairs.pairs:
-        target = v.eigenpairs.pairs[0].right
-    steps = [_record(0, 1.0, 1.0, rho0, target)]
+    steps = [_record(0, 1.0, 1.0, rho0)]
     state = rho0
     cumulative = 1.0
     truncated = False
@@ -469,19 +458,16 @@ def run_purification(rho0: DensityMatrix, v: ProjectedPropagator, n_max: int,
             truncated = True
             break
         cumulative *= p
-        steps.append(_record(n, p, cumulative, state, target))
+        steps.append(_record(n, p, cumulative, state))
     return PurificationTrajectory(steps=tuple(steps), truncated=truncated)
 
 
-def _record(n: int, p: float, cumulative: float, state: DensityMatrix,
-            target: np.ndarray | None) -> TrajectoryStep:
-    fid = None if target is None else fidelity(state, target)
+def _record(n: int, p: float, cumulative: float, state: DensityMatrix) -> TrajectoryStep:
     purity = float(np.trace(state.matrix @ state.matrix).real)
     return TrajectoryStep(
         n=n,
         conditional_probability=p,
         cumulative_yield=cumulative,
-        fidelity=fid,
         purity=min(max(purity, 0.0), 1.0),
         state=state,
     )
@@ -499,10 +485,9 @@ def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
     degenerate = len(pairs) < min(2, v.dim)
     lambda0 = pairs[0].value if len(pairs) >= 1 else None
     lambda1 = pairs[1].value if len(pairs) >= 2 else None
-    u0 = pairs[0].right if pairs else None
-    v0 = pairs[0].left if pairs else None
     plateau = None
     if pairs:
+        v0 = pairs[0].left
         plateau = float(np.vdot(v0, rho0.matrix @ v0).real)
     gap = None
     if lambda0 is not None and lambda1 is not None and abs(lambda0) > 0:
@@ -515,8 +500,6 @@ def spectral_report(v: ProjectedPropagator, rho0: DensityMatrix,
         condition_i_met=(not degenerate and lambda0 is not None
                          and abs(abs(lambda0) - 1.0) <= epsilon),
         degenerate=degenerate,
-        u0=u0,
-        v0=v0,
     )
 
 

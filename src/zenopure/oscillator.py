@@ -169,18 +169,31 @@ def _cot_term(coef: float, x: float) -> float:
     return coef / t
 
 
+def _delta(p: OscillatorParams) -> float:
+    """delta = sqrt(g^2 + (big_omega - omega)^2 / 4), refused with a ValueError
+    where a square overflows a float (Python float powers raise there)."""
+    d_om = p.big_omega - p.omega
+    try:
+        return float(np.sqrt(p.g ** 2 + d_om ** 2 / 4))
+    except OverflowError:
+        raise ValueError(
+            f"delta = sqrt(g^2 + (big_omega - omega)^2 / 4) overflows at g = {float(p.g)!r}, "
+            f"big_omega - omega = {float(d_om)!r}"
+        ) from None
+
+
 def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     """Evaluate the closed-form coefficient set at the given interval.
 
     Raises DegenerateInterval when delta*tau sits within 1e-9 of a multiple
     of pi (including tau = 0), where A vanishes and purification fails, and
-    a plain ValueError when delta*tau is not finite. The dominant eigenvalue
-    is computed through two algebraically independent routes and
-    cross-checked to 1e-9; |e^C| likewise comes out of two formulas checked
-    against each other to 1e-12.
+    a plain ValueError when delta overflows or delta*tau is not finite. The
+    dominant eigenvalue is computed through two algebraically independent
+    routes and cross-checked to 1e-9; |e^C| likewise comes out of two
+    formulas checked against each other to 1e-12.
     """
     d_om = p.big_omega - p.omega
-    delta = float(np.sqrt(p.g ** 2 + d_om ** 2 / 4))
+    delta = _delta(p)
     dtau = delta * p.tau
     if not np.isfinite(dtau):
         raise ValueError(f"delta*tau = {dtau!r} is not finite")
@@ -348,6 +361,11 @@ def closed_form_rho(p: OscillatorParams, n: int) -> ThermalTrajectoryClosedForm:
         raise ValueError("beta * omega must be positive")
     c = coefficients(p)
     boltz = np.exp(-p.beta * p.omega)
+    if boltz == 1.0:
+        raise CutoffTooSmall(
+            f"thermal state at beta*omega = {float(p.beta * p.omega)!r} has e^(-beta*omega) = 1 "
+            f"in double precision: no cutoff holds it"
+        )
     e_nc = c.exp_c ** n
     ratio = (1.0 - e_nc) / (1.0 - c.exp_neg_c) * c.a_coef
     theta = ratio - np.conj(ratio) * e_nc * boltz
@@ -453,8 +471,7 @@ def tuned_tau(p: OscillatorParams, m: int, branch: str) -> float:
         raise ValueError("m must be a positive integer")
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    d_om = p.big_omega - p.omega
-    delta = float(np.sqrt(p.g ** 2 + d_om ** 2 / 4))
+    delta = _delta(p)
     base = (p.big_omega + p.omega) / 2 + (delta if branch == "plus" else -delta)
     if abs(base) < 1e-12:
         raise ZeroFrequency(f"normal-mode frequency for branch {branch!r} vanishes")

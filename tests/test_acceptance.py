@@ -23,6 +23,7 @@ from zenopure.engine import (
     ProbeState,
     ProjectedPropagator,
     build_projected_propagator,
+    fidelity,
     run_purification,
     spectral_report,
     trace_distance,
@@ -157,14 +158,14 @@ def test_criterion_4_purification_limit(reference):
 
 def test_criterion_5_yield_plateau(reference):
     target, _ = coherent_target_dm(reference.p)
-    traj = run_purification(reference.rho0, reference.v, 30, target=target)
+    traj = run_purification(reference.rho0, reference.v, 30)
     yields = [step.cumulative_yield for step in traj.steps]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(yields, yields[1:]))
     plateau_held = yields[30] >= 0.95 * yields[10]
     report = spectral_report(reference.v, reference.rho0)
     law_dev = 0.0
     for step in traj.steps:
-        if step.fidelity is not None and step.fidelity > 0.999:
+        if fidelity(step.state, target) > 0.999:
             law = abs(report.lambda0) ** (2 * step.n) * report.yield_plateau_coefficient
             law_dev = max(law_dev, abs(step.cumulative_yield / law - 1))
     ok = non_increasing and plateau_held and law_dev <= 0.01

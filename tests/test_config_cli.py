@@ -681,6 +681,47 @@ def test_spectrum_explicit_propagator(tmp_path, capsys):
     assert grab(out, "condition_i_met") == "false"
 
 
+@pytest.mark.parametrize("big_omega, g, alpha", [
+    (1.0, 0.2, 0.5), (1.3, 0.35, 0.4 + 0.3j),
+], ids=["reference", "detuned-complex-alpha"])
+def test_three_routes_give_one_v(tmp_path, capsys, big_omega, g, alpha):
+    # The oscillator model; its H in a matrix file, run as an explicit model
+    # with the coherent probe at repr precision; and that V in a propagator
+    # file. The dense search finds the oscillator's blocks, V comes out bit
+    # for bit the same, and spectrum prints the same eigenvalue lines. The
+    # plateau line is left out: an explicit model starts maximally mixed.
+    p = osc.OscillatorParams(big_omega, 1.0, g, alpha, beta=1.0, tau=1.3,
+                             n_max_a=12, n_max_b=12)
+    system = osc.build_hamiltonian(p)
+    probe = osc.coherent_state(p.alpha, 12)
+    v = engine.build_projected_propagator(system, engine.ProbeState(probe), p.tau)
+    save_matrix_file(str(tmp_path / "h.mat"), 12, 12, system.hamiltonian)
+    explicit_h = write(tmp_path, (
+        '[model]\nkind = "explicit"\nhamiltonian_file = "h.mat"\n'
+        f"probe_re = [{', '.join(repr(float(x)) for x in probe.real)}]\n"
+        f"probe_im = [{', '.join(repr(float(x)) for x in probe.imag)}]\n"
+        f"tau = {p.tau!r}\n"), "explicit_h.cfg")
+    cfg = load_config(explicit_h)
+    loaded = engine.BipartiteSystem(*load_matrix_file(str(tmp_path / "h.mat")))
+    assert len(loaded.block_indices) == len(system.block_indices) == 2 * 12 - 1
+    for found, built in zip(loaded.block_indices, system.block_indices):
+        np.testing.assert_array_equal(found, built)
+    v_loaded = engine.build_projected_propagator(loaded, engine.ProbeState(np.array(cfg.probe)),
+                                                 cfg.tau)
+    np.testing.assert_array_equal(v_loaded.matrix, v.matrix)
+    save_matrix_file(str(tmp_path / "v.mat"), 1, 12, v_loaded.matrix)
+    oscillator = write(tmp_path, emit_config(ExperimentConfig(
+        kind="oscillator", big_omega=big_omega, omega=1.0, g=g, alpha=alpha, beta=1.0,
+        tau=1.3, n_max_a=12, n_max_b=12)), "oscillator.cfg")
+    keys = ("degenerate", "lambda0", "abs_lambda0", "lambda1", "gap_ratio")
+    lines = []
+    for route in (oscillator, explicit_h, write(tmp_path, EXPLICIT_V, "explicit_v.cfg")):
+        code, out, err = run_cli(capsys, "spectrum", "--config", route)
+        assert (code, err) == (0, "")
+        lines.append([grab(out, key) for key in keys])
+    assert lines[0] == lines[1] == lines[2]
+
+
 def test_spectrum_cutoff_below_floor(tmp_path, capsys):
     cfg = write(tmp_path, FIG1_CONFIG)
     code, _, err = run_cli(capsys, "spectrum", "--config", cfg, "--cutoff", "4")
@@ -928,6 +969,9 @@ REFUSED_CONFIGS = {
     "g_nan": FIG1_CONFIG.replace("g = 0.2", "g = nan"),
     "alpha_nan": ZENO_SCAN_CONFIG.replace("alpha_re = 0.5", "alpha_re = nan"),
     "beta_nan": FIG1_CONFIG.replace("beta = 1", "beta = nan"),
+    # g^2 and (big_omega - omega)^2 overflow a float inside delta.
+    "g_huge": ZENO_SCAN_CONFIG.replace("g = 0.2", "g = 1e300"),
+    "big_omega_huge": ZENO_SCAN_CONFIG.replace("big_omega = 1", "big_omega = 1e300"),
     # Both read h.mat, a 2x2 (D = 4) H that is not Hermitian.
     "not_hermitian": EXPLICIT_H,
     "wide_propagator": EXPLICIT_V.replace("v.mat", "h.mat"),
@@ -970,12 +1014,41 @@ def test_refused_value_is_one_error_line(tmp_path, capsys, command, config, step
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
-def test_refused_value_prints_no_traceback(tmp_path):
-    cfg = write(tmp_path, REFUSED_CONFIGS["alpha_nan"])
-    proc = fresh_process(["-m", "zenopure.cli", "compare", "--config", cfg, "--cutoff", "14"])
+DELTA_OVERFLOW = ("delta = sqrt(g^2 + (big_omega - omega)^2 / 4) overflows at g = {}, "
+                  "big_omega - omega = {}")
+FRESH_PROCESS_REFUSALS = {
+    "alpha_nan": "probe amplitudes contain non-finite entries",
+    "g_huge": DELTA_OVERFLOW.format("1e+300", "0.0"),
+    "big_omega_huge": DELTA_OVERFLOW.format("0.2", "1e+300"),
+}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("compare", "alpha_nan"),
+    *[(command, config) for config in ("g_huge", "big_omega_huge")
+      for command in ("spectrum", "purify", "compare", "zeno")],
+])
+def test_refused_value_prints_no_traceback(tmp_path, command, config):
+    cfg = write(tmp_path, REFUSED_CONFIGS[config])
+    proc = fresh_process(["-m", "zenopure.cli", command, "--config", cfg, "--cutoff", "14"])
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "Traceback" not in proc.stderr
-    assert proc.stderr == "error: probe amplitudes contain non-finite entries\n"
+    assert proc.stderr == f"error: {FRESH_PROCESS_REFUSALS[config]}\n"
+
+
+@pytest.mark.parametrize("beta", ["2e-17", "1e-17", "1e-300"])
+def test_compare_refuses_a_thermal_state_flat_in_double_precision(tmp_path, beta):
+    # Below beta*omega = 2^-54, e^(-beta*omega) rounds to 1: the thermal
+    # start has no tail to truncate, so the closed-form trajectory is refused
+    # as for any cutoff too small, with exit code 3, not a traceback.
+    cfg = write(tmp_path, FIG1_CONFIG.replace("beta = 1\n", f"beta = {beta}\n"))
+    proc = fresh_process(["-m", "zenopure.cli", "compare", "--config", cfg, "--cutoff", "14"])
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert grab(proc.stdout, "trajectory_max_trace_distance") == (
+        f"refused (thermal state at beta*omega = {beta} has e^(-beta*omega) = 1 "
+        "in double precision: no cutoff holds it)"
+    )
+    assert grab(proc.stdout, "status") == "breach"
 
 
 def test_refusals_are_value_errors():
@@ -1018,7 +1091,7 @@ def count_calls(monkeypatch, name, home=linalg):
     ("purify", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 1),
     ("compare", ZENO_SCAN_CONFIG, 3, 2 * 12 - 1, 1, 1),
     ("zeno", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 0),
-    ("compare", NO_GAP_CONFIG, 3, 12 * 12, 1, 1),
+    ("compare", NO_GAP_CONFIG, 3, 12 * 12, 0, 1),
 ], ids=["figure1", "spectrum", "purify", "compare", "zeno", "compare-no-gap"])
 def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, command, config,
                                              exit_code, blocks, spectrum_solves, builds):
@@ -1027,9 +1100,9 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
     # by build_projected_propagator, and at most one solve of V's spectrum,
     # whatever the command. The coupled model has one block per total
     # excitation number; uncoupled modes split into single states and give V
-    # no magnitude gap, so compare skips its geometric check, and its one
-    # solve is run_purification's default fidelity target. At cutoff 12
-    # compare breaches on truncation, which it reports with exit code 3.
+    # no magnitude gap, so compare skips its geometric check, the one reader
+    # of V's spectrum it has, and solves none. At cutoff 12 compare breaches
+    # on truncation, which it reports with exit code 3.
     searches = count_calls(monkeypatch, "_coupled_blocks")
     decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
     solves = count_calls(monkeypatch, "top_k_eigenpairs")
@@ -1216,6 +1289,20 @@ def test_output_independent_of_blas_threads(tmp_path, command):
               "compare": "compare_reference.txt"}.get(command)
     if golden is not None:
         assert outputs["1"] == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def test_readme_session_runs_and_quick_start_rows_are_figure1s(capsys):
+    # The README's library session runs as written in a fresh process, and
+    # its quick-start rows N = 0 ... 2 are figure1's, byte for byte.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    session = readme.split("```python\n")[1].split("```")[0]
+    proc = fresh_process(["-c", session])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert float(proc.stdout) > 0.999
+    rows = readme.split("$ zenopure figure1 --steps 5\n")[1].split("    ...\n")[0]
+    code, out, err = run_cli(capsys, "figure1", "--steps", "5")
+    assert (code, err) == (0, "")
+    assert [row.removeprefix("    ") for row in rows.splitlines()] == out.splitlines()[:4]
 
 
 def test_import_does_not_load_scipy():

@@ -404,6 +404,39 @@ def test_propagator_dimension_mismatch():
         build_projected_propagator(sys_, ProbeState(np.array([1.0, 0, 0])), 1.0)
 
 
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Q of a complex Gaussian matrix's QR, its column phases fixed by R."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("relation", ["energy_shift", "b_rotation", "a_rotation"])
+def test_explicit_propagator_metamorphic_relations(relation):
+    # Exact symmetries of V = <phi| exp(-iH tau) |phi> on a random, fully
+    # coupled 3 x 6 H: H + c gives V e^{-ic tau}; (1 ⊗ u) H (1 ⊗ u)† gives
+    # u V u†; (r ⊗ 1) H (r ⊗ 1)† with the probe r phi gives V itself.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+    h = (a + a.conj().T) / 2
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    phi /= np.linalg.norm(phi)
+    u, r = random_unitary(rng, 6), random_unitary(rng, 3)
+
+    def v_of(h, phi):
+        return build_projected_propagator(BipartiteSystem(3, 6, h), ProbeState(phi), 0.7).matrix
+
+    v = v_of(h, phi)
+    if relation == "energy_shift":
+        got, expected = v_of(h + 0.37 * np.eye(18), phi), v * np.exp(-0.37j * 0.7)
+    elif relation == "b_rotation":
+        w = np.kron(np.eye(3), u)
+        got, expected = v_of(w @ h @ w.conj().T, phi), u @ v @ u.conj().T
+    else:
+        w = np.kron(r, np.eye(6))
+        got, expected = v_of(w @ h @ w.conj().T, r @ phi), v
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
 # ------------------------------------------------------------------ steps
 
 
@@ -476,7 +509,7 @@ def test_cumulative_yield_is_the_n_step_yield_non_increasing_and_plateaued():
 def test_run_purification_identity():
     rho = DensityMatrix(np.diag([0.25, 0.75]))
     v = ProjectedPropagator(matrix=np.eye(2), tau=0.0)
-    traj = run_purification(rho, v, 5, target=np.array([1.0, 0.0]))
+    traj = run_purification(rho, v, 5)
     assert len(traj.steps) == 6 and not traj.truncated
     for step in traj.steps:
         assert step.conditional_probability == pytest.approx(1.0)
@@ -489,12 +522,13 @@ def test_run_purification_two_level_map():
     # ground-state fidelity follows 0.5 / (0.5 + 0.5 * 0.25^n).
     rho = DensityMatrix(np.diag([0.5, 0.5]))
     v = ProjectedPropagator(matrix=np.diag([1.0, 0.5]), tau=1.0)
-    traj = run_purification(rho, v, 6, target=np.array([1.0, 0.0]))
+    target = np.array([1.0, 0.0])
+    traj = run_purification(rho, v, 6)
     for step in traj.steps:
         expected = 0.5 / (0.5 + 0.5 * 0.25 ** step.n)
-        assert step.fidelity == pytest.approx(expected, abs=1e-12)
-    assert traj.steps[1].fidelity == pytest.approx(0.8, abs=1e-12)
-    assert traj.steps[2].fidelity == pytest.approx(0.5 / 0.53125, abs=1e-12)
+        assert fidelity(step.state, target) == pytest.approx(expected, abs=1e-12)
+    assert fidelity(traj.steps[1].state, target) == pytest.approx(0.8, abs=1e-12)
+    assert fidelity(traj.steps[2].state, target) == pytest.approx(0.5 / 0.53125, abs=1e-12)
 
 
 def test_run_purification_invariants():
@@ -527,11 +561,9 @@ def test_run_purification_truncates_on_extinction():
     assert traj.steps[-1].n == 0
 
 
-def test_run_purification_rejects_bad_target():
+def test_run_purification_rejects_n_max_below_one():
     rho = DensityMatrix(np.diag([0.5, 0.5]))
     v = ProjectedPropagator(matrix=np.eye(2), tau=0.0)
-    with pytest.raises(ValueError):
-        run_purification(rho, v, 3, target=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         run_purification(rho, v, 0)
 
@@ -614,7 +646,7 @@ def test_spectral_report_matches_top_two_pairs(dim):
     assert report.yield_plateau_coefficient == float(
         np.vdot(first.left, rho0.matrix @ first.left).real
     )
-    np.testing.assert_array_equal(report.u0, first.right)
+    np.testing.assert_array_equal(v.eigenpairs.pairs[0].right, first.right)
 
 
 def test_readme_session_solves_v_once(monkeypatch):
@@ -647,7 +679,8 @@ def test_rank_one_asymptotics():
     report = spectral_report(v, DensityMatrix(np.eye(4) / 4))
     if report.degenerate or report.gap_ratio > 0.9:
         pytest.skip("sampled propagator lacks a usable gap")
-    projector = np.outer(report.u0, report.v0.conj())
+    first = v.eigenpairs.pairs[0]
+    projector = np.outer(first.right, first.left.conj())
     gap = report.gap_ratio
     # fit the prefactor from the first few powers, then check decay
     norms = []
@@ -677,10 +710,10 @@ def test_initial_state_independence():
 def test_yield_plateau_law():
     _, _, v, rho0 = reference_setup()
     report = spectral_report(v, rho0)
-    target = report.u0
-    traj = run_purification(rho0, v, 30, target=target)
+    target = v.eigenpairs.pairs[0].right
+    traj = run_purification(rho0, v, 30)
     for step in traj.steps:
-        if step.fidelity is not None and step.fidelity > 0.999:
+        if fidelity(step.state, target) > 0.999:
             law = abs(report.lambda0) ** (2 * step.n) * report.yield_plateau_coefficient
             assert step.cumulative_yield / law == pytest.approx(1.0, abs=0.01)
 

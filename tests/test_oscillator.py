@@ -574,10 +574,10 @@ def test_cutoff_convergence():
         v = build_projected_propagator(sys_, phi, p.tau)
         rho0 = thermal_state(p.beta, p.omega, cutoff)
         target = coherent_state(-0.5j, cutoff)
-        traj = run_purification(rho0, v, 10, target=target)
+        traj = run_purification(rho0, v, 10)
         results[cutoff] = (
             v.eigenpairs.pairs[0].value,
-            traj.steps[10].fidelity,
+            fidelity(traj.steps[10].state, target),
             traj.steps[10].cumulative_yield,
         )
     for a, b in zip(results[30], results[40]):
