@@ -10,15 +10,24 @@ figure1    purify with the reference oscillator parameter set baked in
            (big_omega = omega = 1, g = 0.2, alpha = 0.5, beta = 1,
            tau tuned to the plus normal mode)
 
+compare prints its rows in a fixed order: the factorization check, V's
+block, the trajectory's distance at each step and then their maximum, the
+geometric eigenvalue check, the gap ratios and the 0.37 reference, and
+last ``status``. A row is one of four kinds: a deviation, ``<name> =
+<value>`` and then ``<name>_tolerance``; a refusal, ``<name> = refused
+(<reason>)`` and its tolerance, where the reason is the cutoff refusal,
+``no propagator`` or ``no eigenpairs``; a skip, ``<name> = skipped
+(<reason>)`` with no tolerance, as the geometric check is when |e^C| = 1;
+or a note, which is never checked. A refusal, or a deviation above its
+tolerance, makes ``status = breach``. A trajectory refused at the cutoff
+keeps the distances it printed before the refusal.
+
 Exit codes: 0 success, 1 refused input (the config, a model file, or a
 value the model refuses, named in the message), 2 degenerate spectrum,
-3 cross-check tolerance breach. A compare check that cannot run prints
-``<name> = refused (<reason>)`` and counts as a breach; the reason is the
-cutoff refusal, ``no propagator`` or ``no eigenpairs``. The geometric
-check prints ``skipped`` when |e^C| = 1. The environment variable
-ZENOPURE_TOL overrides the spectrum epsilon and every compare tolerance at
-once; it must be a positive number, and nan is refused. All numeric output
-uses 17 significant digits so runs are byte-comparable.
+3 cross-check tolerance breach. The environment variable ZENOPURE_TOL
+overrides the spectrum epsilon and every compare tolerance at once; it
+must be a positive number, and nan is refused. All numeric output uses 17
+significant digits so runs are byte-comparable.
 """
 
 from __future__ import annotations
@@ -51,9 +60,17 @@ COMPARE_TOLERANCES = {
 #: Occupation bounds for truncation-safe comparison blocks.
 FACTORIZATION_BLOCK = 12
 PROPAGATOR_BLOCK = 10
-
-REFERENCE_GAP_RATIO_NOTE = (
-    "external_reference_gap_ratio = 0.37 (informational, not asserted)"
+#: The reference parameter set that figure1 runs.
+FIGURE1_CONFIG = ExperimentConfig(
+    kind="oscillator",
+    big_omega=1.0,
+    omega=1.0,
+    g=0.2,
+    alpha=0.5 + 0.0j,
+    beta=1.0,
+    tuned_m=1,
+    tuned_branch="plus",
+    n_steps=30,
 )
 
 
@@ -262,26 +279,15 @@ def _trajectory_csv(model: _Model, steps: int) -> str:
 
 
 def cmd_purify(args) -> int:
-    cfg, config_dir = _load_for(args)
-    model = _build_model(cfg, config_dir, args.cutoff)
-    steps = args.steps if args.steps is not None else cfg.n_steps
-    _write_output(_trajectory_csv(model, steps), args.out)
-    return 0
+    return _purify(*_load_for(args), args)
 
 
 def cmd_figure1(args) -> int:
-    cfg = ExperimentConfig(
-        kind="oscillator",
-        big_omega=1.0,
-        omega=1.0,
-        g=0.2,
-        alpha=0.5 + 0.0j,
-        beta=1.0,
-        tuned_m=1,
-        tuned_branch="plus",
-        n_steps=30,
-    )
-    model = _build_model(cfg, os.getcwd(), args.cutoff)
+    return _purify(FIGURE1_CONFIG, os.getcwd(), args)
+
+
+def _purify(cfg: ExperimentConfig, config_dir: str, args) -> int:
+    model = _build_model(cfg, config_dir, args.cutoff)
     steps = args.steps if args.steps is not None else cfg.n_steps
     _write_output(_trajectory_csv(model, steps), args.out)
     return 0
@@ -292,105 +298,89 @@ def cmd_compare(args) -> int:
     if cfg.kind != "oscillator":
         raise ConfigError("compare requires the oscillator model")
     model = _build_model(cfg, config_dir, args.cutoff)
-    params = model.params
     override = _tol_override()
-    tols = {k: (override if override is not None else v) for k, v in COMPARE_TOLERANCES.items()}
     try:
-        coeffs = osc.coefficients(params)
+        coeffs = osc.coefficients(model.params)
     except osc.DegenerateInterval as exc:
         _write_output(f"degenerate interval: {exc}\n", args.out)
         return 2
-    lines = []
-    breached = False
-
-    def check(label: str, tol_key: str, value: float | str):
-        """Report a deviation, or a refusal (a reason str), which breaches."""
-        nonlocal breached
-        tol = tols[tol_key]
-        if isinstance(value, str):
-            lines.append(f"{label} = refused ({value})")
-            breached = True
-        else:
-            lines.append(f"{label} = {_fmt(value)}")
-            if value > tol:
-                breached = True
+    lines, breached = [], False
+    for label, value, tol_key in _compare_rows(model, coeffs, min(10, cfg.n_steps)):
+        if tol_key is None:  # a skip or a note
+            lines.append(f"{label} = {value if isinstance(value, str) else _fmt(value)}")
+            continue
+        tol = override if override is not None else COMPARE_TOLERANCES[tol_key]
+        refused = isinstance(value, str)
+        lines.append(f"{label} = {f'refused ({value})' if refused else _fmt(value)}")
         lines.append(f"{label}_tolerance = {_fmt(tol)}")
+        breached |= refused or value > tol
+    lines.append(f"status = {'breach' if breached else 'ok'}")
+    _write_output("\n".join(lines) + "\n", args.out)
+    return 3 if breached else 0
 
+
+def _compare_rows(model: _Model, coeffs: osc.ClosedFormCoefficients, horizon: int):
+    """compare's lines above its status, as rows (label, value, tolerance key).
+
+    A row with a tolerance key is a check: its value is a deviation (a
+    float) or the reason the check was refused (a str), and it prints a
+    tolerance line. A row without one never breaches: it is a skipped check,
+    whose value reads ``skipped (reason)``, or a note.
+    """
+    params = model.params
     # The system's one block decomposition of H serves both the factorization
     # check and V. The factorization is checked against the eigendecomposition
     # route on the occupation block where truncation cannot reach; both
     # propagators are formed on that block only, never as D x D matrices.
     block_a = min(FACTORIZATION_BLOCK + 1, params.n_max_a)
     block_b = min(FACTORIZATION_BLOCK + 1, params.n_max_b)
-    idx = [
-        a * params.n_max_b + b
-        for a in range(block_a)
-        for b in range(block_b)
-    ]
+    idx = [a * params.n_max_b + b for a in range(block_a) for b in range(block_b)]
     u_direct = unitary_from_blocks(model.system.blocks, params.tau, indices=idx)
     u_product = osc.factorized_propagator(params, indices=idx)
-    check(
-        "factorization_interior_max_dev",
-        "factorization",
-        float(np.abs(u_direct - u_product).max()),
-    )
+    yield ("factorization_interior_max_dev", float(np.abs(u_direct - u_product).max()),
+           "factorization")
+
+    try:
+        v = _propagator(model)
+    except osc.CutoffTooSmall as exc:
+        v = None
+        yield "propagator_block_max_dev", str(exc), "propagator_block"
+        yield "trajectory_max_trace_distance", "no propagator", "trajectory"
+    else:
+        v_closed = osc.closed_form_propagator(params)
+        nb = min(PROPAGATOR_BLOCK + 1, params.n_max_b)
+        yield ("propagator_block_max_dev",
+               float(np.abs(v.matrix[:nb, :nb] - v_closed[:nb, :nb]).max()), "propagator_block")
+        worst = 0.0
+        try:
+            for step in engine.run_purification(model.rho0, v, horizon).steps:
+                reference = osc.closed_form_rho(params, step.n)
+                dist = engine.trace_distance(step.state, reference.state)
+                yield f"trajectory_trace_distance_{step.n}", dist, None
+                worst = max(worst, dist)
+        except osc.CutoffTooSmall as exc:
+            worst = str(exc)
+        yield "trajectory_max_trace_distance", worst, "trajectory"
 
     # The numeric-eigensolver checks need a magnitude gap; |e^C| = 1 means
     # the spectrum lies on a circle and the eigensolver rightly refuses.
     geometric = coeffs.abs_exp_c < 1.0 - 1e-9
-
-    pairs = ()
-    try:
-        v = _propagator(model)
-    except osc.CutoffTooSmall as exc:
-        check("propagator_block_max_dev", "propagator_block", str(exc))
-        check("trajectory_max_trace_distance", "trajectory", "no propagator")
-        no_pairs = "no propagator"
-    else:
-        v_closed = osc.closed_form_propagator(params)
-        nb = min(PROPAGATOR_BLOCK + 1, params.n_max_b)
-        check(
-            "propagator_block_max_dev",
-            "propagator_block",
-            float(np.abs(v.matrix[:nb, :nb] - v_closed[:nb, :nb]).max()),
-        )
-        try:
-            horizon = min(10, cfg.n_steps)
-            trajectory = engine.run_purification(model.rho0, v, horizon)
-            worst = 0.0
-            for step in trajectory.steps:
-                reference = osc.closed_form_rho(params, step.n)
-                dist = engine.trace_distance(step.state, reference.state)
-                lines.append(f"trajectory_trace_distance_{step.n} = {_fmt(dist)}")
-                worst = max(worst, dist)
-            check("trajectory_max_trace_distance", "trajectory", worst)
-        except osc.CutoffTooSmall as exc:
-            check("trajectory_max_trace_distance", "trajectory", str(exc))
-        no_pairs = "no eigenpairs"
-        if geometric:
-            pairs = v.eigenpairs.pairs
-
+    pairs = v.eigenpairs.pairs if geometric and v is not None else ()
     if not geometric:
-        lines.append(
-            "eigenvalue_geometric_max_rel_dev = skipped (no magnitude gap, |e^C| = 1)"
-        )
+        yield "eigenvalue_geometric_max_rel_dev", "skipped (no magnitude gap, |e^C| = 1)", None
     elif pairs:
-        lam0 = pairs[0].value
         worst = 0.0
         for n, pair in enumerate(pairs):
             reference = coeffs.exp_c ** n
-            worst = max(worst, abs(pair.value / lam0 - reference) / abs(reference))
-        check("eigenvalue_geometric_max_rel_dev", "geometric", worst)
+            worst = max(worst, abs(pair.value / pairs[0].value - reference) / abs(reference))
+        yield "eigenvalue_geometric_max_rel_dev", worst, "geometric"
     else:
-        check("eigenvalue_geometric_max_rel_dev", "geometric", no_pairs)
+        yield ("eigenvalue_geometric_max_rel_dev",
+               "no eigenpairs" if v is not None else "no propagator", "geometric")
     if len(pairs) >= 2:
-        gap_numeric = abs(pairs[1].value) / abs(pairs[0].value)
-        lines.append(f"gap_ratio_numeric = {_fmt(gap_numeric)}")
-    lines.append(f"gap_ratio_closed_form = {_fmt(coeffs.abs_exp_c)}")
-    lines.append(REFERENCE_GAP_RATIO_NOTE)
-    lines.append(f"status = {'breach' if breached else 'ok'}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 3 if breached else 0
+        yield "gap_ratio_numeric", abs(pairs[1].value) / abs(pairs[0].value), None
+    yield "gap_ratio_closed_form", coeffs.abs_exp_c, None
+    yield "external_reference_gap_ratio", "0.37 (informational, not asserted)", None
 
 
 def cmd_zeno(args) -> int:

@@ -146,10 +146,11 @@ class TopKResult:
     truncated: bool
 
 
-def _check_hermitian(dev: float, scale: float) -> None:
-    """Raise NotHermitian unless dev = ||m - m†||_F <= 1e-9 ||m||_F = 1e-9 scale."""
+def _check_hermitian(dev: float, scale: float, unit: float = 1.0) -> None:
+    """Raise NotHermitian unless dev = ||m - m†||_F <= 1e-9 ||m||_F = 1e-9 scale,
+    both norms taken of m / unit."""
     if dev > 1e-9 * max(scale, _UNDERFLOW):
-        raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev:.3e})")
+        raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev * unit:.3e})")
 
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
@@ -203,8 +204,7 @@ def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
     if indices is not None:
         a = np.asarray(m, dtype=complex)
     else:
-        a = _as_square(m)
-        _check_hermitian(np.linalg.norm(a - a.conj().T), np.linalg.norm(a))
+        a = _checked_blocks([_as_square(m)])[0]
         indices = np.arange(a.shape[0])
     sym = (a + a.conj().T) / 2
     if _same_bits(sym, a):
@@ -255,15 +255,28 @@ def _checked_blocks(matrices) -> tuple[np.ndarray, ...]:
 
     a - a† is zero outside the blocks too, so the root sums of squares over
     the blocks are the whole matrix's norms. Raises NotHermitian past the
-    bound.
+    bound. The squares overflow once entries pass about 1e154; the sums are
+    then taken again of the blocks divided by their largest entry, which
+    leaves the bound as it is.
     """
     matrices = tuple(matrices)
+    unit = 1.0
+    with np.errstate(over="ignore"):
+        dev, scale = _square_sums(matrices)
+    if not (np.isfinite(dev) and np.isfinite(scale)):
+        unit = max(float(np.abs(s).max()) for s in matrices)
+        dev, scale = _square_sums([s / unit for s in matrices])
+    _check_hermitian(float(np.sqrt(dev)), float(np.sqrt(scale)), unit)
+    return matrices
+
+
+def _square_sums(matrices) -> tuple[float, float]:
+    """The sums over ``matrices`` of ||s - s†||_F² and of ||s||_F²."""
     dev = scale = 0.0
     for s in matrices:
         dev += np.linalg.norm(s - s.conj().T) ** 2
         scale += np.linalg.norm(s) ** 2
-    _check_hermitian(float(np.sqrt(dev)), float(np.sqrt(scale)))
-    return matrices
+    return dev, scale
 
 
 def _dense_blocks(m: np.ndarray) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:

@@ -187,7 +187,8 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
 
     Raises DegenerateInterval when delta*tau sits within 1e-9 of a multiple
     of pi (including tau = 0), where A vanishes and purification fails, and
-    a plain ValueError when delta overflows or delta*tau is not finite. The
+    a plain ValueError when delta overflows, or delta*tau is not finite or
+    so large that the spacing of doubles there exceeds that 1e-9. The
     dominant eigenvalue is computed through two algebraically independent
     routes and cross-checked to 1e-9; |e^C| likewise comes out of two
     formulas checked against each other to 1e-12.
@@ -197,6 +198,12 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     dtau = delta * p.tau
     if not np.isfinite(dtau):
         raise ValueError(f"delta*tau = {dtau!r} is not finite")
+    step = abs(float(np.spacing(dtau)))
+    if step > 1e-9:
+        raise ValueError(
+            f"delta*tau = {dtau!r} is too large to resolve: doubles there are "
+            f"{step:.3e} apart, more than the 1e-9 window of the closed forms"
+        )
     nearest = round(dtau / np.pi)
     if abs(dtau - nearest * np.pi) <= 1e-9:
         raise DegenerateInterval(

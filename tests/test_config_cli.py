@@ -974,6 +974,8 @@ REFUSED_CONFIGS = {
     "big_omega_huge": ZENO_SCAN_CONFIG.replace("big_omega = 1", "big_omega = 1e300"),
     # Both read h.mat, a 2x2 (D = 4) H that is not Hermitian.
     "not_hermitian": EXPLICIT_H,
+    # The doubles near delta*tau are 1.9e-9 apart, past the closed forms' 1e-9.
+    "tuned_huge": FIG1_CONFIG.replace("tuned_m = 1", "tuned_m = 10000000"),
     "wide_propagator": EXPLICIT_V.replace("v.mat", "h.mat"),
 }
 
@@ -1001,6 +1003,9 @@ NOT_HERMITIAN_H[0, 1] = 0.5
     ("zeno", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
     ("spectrum", "not_hermitian", None, "hamiltonian is not Hermitian (deviation 7.071e-01)"),
     ("spectrum", "wide_propagator", None, "a propagator file must declare dim_a = 1"),
+    *[(command, "tuned_huge", None, "delta*tau = 10471975.511965979 is too large to resolve: "
+       "doubles there are 1.863e-09 apart, more than the 1e-9 window of the closed forms")
+      for command in ("spectrum", "purify", "compare")],
 ])
 def test_refused_value_is_one_error_line(tmp_path, capsys, command, config, steps, message):
     argv = [command]
@@ -1034,6 +1039,18 @@ def test_refused_value_prints_no_traceback(tmp_path, command, config):
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr == f"error: {FRESH_PROCESS_REFUSALS[config]}\n"
+
+
+def test_huge_coupling_runs_without_overflow_warnings(tmp_path):
+    # At g = 1e300 the squares of H's entries overflow a double. zeno, which
+    # computes no delta at a fixed tau, checks H's symmetry without numpy's
+    # overflow warning on stderr.
+    text = ZENO_SCAN_CONFIG.replace("g = 0.2", "g = 1e300").replace(_TUNED, "") + "tau = 1.3\n"
+    proc = fresh_process(["-m", "zenopure.cli", "zeno", "--config", write(tmp_path, text),
+                          "--cutoff", "12"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[0] == "n,tau,yield,unitarity_defect"
+    assert len(proc.stdout.splitlines()) == 7
 
 
 @pytest.mark.parametrize("beta", ["2e-17", "1e-17", "1e-300"])
@@ -1243,21 +1260,71 @@ def test_golden_zeno_scan(tmp_path, capsys):
     assert out == golden
 
 
-@pytest.mark.parametrize("config, argv, exit_code, golden", [
+COMPARE_GOLDENS = pytest.mark.parametrize("config, argv, exit_code, golden", [
     (FIG1_CONFIG, ["--cutoff", "30"], 0, "compare_reference.txt"),
     (FIG1_CONFIG, ["--cutoff", "6"], 3, "compare_cutoff_6.txt"),
     (THERMAL_TAIL_CONFIG, ["--cutoff", "30"], 3, "compare_thermal_tail.txt"),
     (NO_GAP_CONFIG, [], 0, "compare_no_gap.txt"),
     (NEAR_TIE_CONFIG, [], 3, "compare_no_eigenpairs.txt"),
-], ids=["reference", "cutoff-6", "thermal-tail", "no-gap", "no-eigenpairs"])
-def test_golden_compare(tmp_path, capsys, config, argv, exit_code, golden):
+    (NO_GAP_CONFIG, ["--cutoff", "6"], 3, "compare_no_gap_cutoff_6.txt"),
+    (FIG1_CONFIG.replace(_TUNED, "").replace("alpha_re = 0.5", "alpha_re = 1.5") + "tau = 1.3\n",
+     ["--cutoff", "18"], 3, "compare_trajectory_refused.txt"),
+], ids=["reference", "cutoff-6", "thermal-tail", "no-gap", "no-eigenpairs",
+        "no-gap-cutoff-6", "trajectory-refused"])
+
+
+@COMPARE_GOLDENS
+def test_golden_compare(tmp_path, config, argv, exit_code, golden):
     # One case per branch: every check runs and passes; the probe's cutoff
     # is refused, so no V exists for the checks that need one; the
     # closed-form trajectory is refused at its boundary; the geometric check
     # is skipped without a magnitude gap; and it is refused on tied pairs.
-    code, out, err = run_cli(capsys, "compare", "--config", write(tmp_path, config), *argv)
-    assert (code, err) == (exit_code, "")
-    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    # The probe is refused where there is no magnitude gap either, and the
+    # trajectory is refused after printing some of its distances. The
+    # goldens were made at one BLAS thread, and the last digits of the
+    # trajectory-refused case's V move with the thread count, so each case
+    # runs in a fresh process at one thread.
+    proc = fresh_process(["-m", "zenopure.cli", "compare", "--config", write(tmp_path, config),
+                          *argv], {"OPENBLAS_NUM_THREADS": "1"})
+    assert (proc.returncode, proc.stderr) == (exit_code, "")
+    assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def compare_breached(out: str) -> bool:
+    """Whether compare's lines, all but the status line, hold a breach: a
+    check refused, or a value above its ``_tolerance`` line. A skipped check
+    has no tolerance line; it and the notes never breach."""
+    *lines, status = out.splitlines()
+    assert status.startswith("status = ")
+    values = dict(line.split(" = ", 1) for line in lines)
+    assert len(values) == len(lines)
+    breached = False
+    for name, value in values.items():
+        tolerance = values.get(name + "_tolerance")
+        if value.startswith("skipped ("):
+            assert tolerance is None
+        elif value.startswith("refused ("):
+            assert tolerance is not None
+            breached = True
+        elif tolerance is not None:
+            breached |= float(value) > float(tolerance)
+    return breached
+
+
+@pytest.mark.parametrize("tol", [None, "1e-20"], ids=["golden", "tol-1e-20"])
+@COMPARE_GOLDENS
+def test_compare_status_follows_its_lines(tmp_path, capsys, monkeypatch, config, argv,
+                                          exit_code, golden, tol):
+    # status = breach, and exit code 3, exactly when some line breaches: in
+    # each golden, and in a fresh run with every tolerance at 1e-20.
+    if tol is None:
+        code, out = exit_code, (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    else:
+        monkeypatch.setenv("ZENOPURE_TOL", tol)
+        code, out, _ = run_cli(capsys, "compare", "--config", write(tmp_path, config), *argv)
+    breached = compare_breached(out)
+    assert out.endswith(f"status = {'breach' if breached else 'ok'}\n")
+    assert code == (3 if breached else 0)
 
 
 def fresh_process(args, env_overrides=None):

@@ -6,6 +6,7 @@ np.roots. The matrix exponential is checked against a plain Taylor series.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_hermitian_eigendecompose_invariants():
 def test_hermitian_eigendecompose_rejects_asymmetric():
     with pytest.raises(NotHermitian):
         hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("check", [hermitian_eigendecompose,
+                                   lambda h: BipartiteSystem(1, 2, h)])
+def test_symmetry_check_survives_huge_entries(check):
+    # Squared, 1e200 overflows: the bound must not become inf and accept
+    # the asymmetry, nor numpy warn of the overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotHermitian, match=re.escape("(deviation 1.414e+200)")):
+            check(np.array([[0.0, 1e200], [0.0, 0.0]]))
+        check(np.array([[1e300, 1e300j], [-1e300j, 0.0]]))
 
 
 def _bits(x: np.ndarray) -> bytes:

@@ -161,6 +161,21 @@ def test_coefficients_refuse_non_finite_interval(tau):
     assert str(info.value) == f"delta*tau = {0.2 * tau!r} is not finite"
 
 
+@pytest.mark.parametrize("m", [10**7, 10**17])
+def test_coefficients_refuse_an_interval_past_double_resolution(m):
+    # At tuned_m = 10^7 the doubles near delta*tau are 1.9e-9 apart, wider
+    # than the 1e-9 window of the degeneracy test and the lambda0 cross-check.
+    # Neither is trusted there: the refusal comes first, as a plain
+    # ValueError, where the cross-check failed (10^7) or the interval passed
+    # for degenerate (10^17).
+    p = dataclasses.replace(REFERENCE, tau=tuned_tau(REFERENCE, m, "plus"))
+    with pytest.raises(ValueError) as info:
+        coefficients(p)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"delta*tau = {0.2 * p.tau!r} is too large to resolve")
+    coefficients(dataclasses.replace(REFERENCE, tau=tuned_tau(REFERENCE, 10**6, "plus")))
+
+
 def test_coefficients_identity_grid():
     # Sweep generic parameter combinations and hold the public identities:
     # e^C e^{-C} = 1, |e^C| matches its trigonometric form, and the literal
