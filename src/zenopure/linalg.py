@@ -13,9 +13,9 @@ single block and is decomposed as it stands.
 A dense matrix is searched once for its blocks (``_coupled_blocks``) and
 they are cut out of it (``_dense_blocks``); blocks a caller already knows
 are taken as they are. Either way the symmetry bound ||m - m†||_F <= 1e-9
-||m||_F is summed over the blocks once (``_checked_blocks``, through
-``_check_hermitian``, the one place that raises NotHermitian), and they are
-then decomposed without testing them again (``_decompose_blocks``).
+||m||_F is summed over the blocks once (``_checked_blocks``, the one place
+that raises NotHermitian), and they are then decomposed without testing
+them again (``_decompose_blocks``).
 ``unitary_exponential`` does both for a raw matrix;
 ``engine.BipartiteSystem`` checks its blocks when it is built, keeps them,
 and decomposes them on first use.
@@ -146,13 +146,6 @@ class TopKResult:
     truncated: bool
 
 
-def _check_hermitian(dev: float, scale: float, unit: float = 1.0) -> None:
-    """Raise NotHermitian unless dev = ||m - m†||_F <= 1e-9 ||m||_F = 1e-9 scale,
-    both norms taken of m / unit."""
-    if dev > 1e-9 * max(scale, _UNDERFLOW):
-        raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev * unit:.3e})")
-
-
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether the arrays x and y, of one shape and dtype, hold the same
     bits. They are compared as bytes, _COMPARE_BYTES of rows at a time, so
@@ -257,7 +250,8 @@ def _checked_blocks(matrices) -> tuple[np.ndarray, ...]:
     the blocks are the whole matrix's norms. Raises NotHermitian past the
     bound. The squares overflow once entries pass about 1e154; the sums are
     then taken again of the blocks divided by their largest entry, which
-    leaves the bound as it is.
+    leaves the bound as it is. This is the one place that raises
+    NotHermitian.
     """
     matrices = tuple(matrices)
     unit = 1.0
@@ -266,7 +260,9 @@ def _checked_blocks(matrices) -> tuple[np.ndarray, ...]:
     if not (np.isfinite(dev) and np.isfinite(scale)):
         unit = max(float(np.abs(s).max()) for s in matrices)
         dev, scale = _square_sums([s / unit for s in matrices])
-    _check_hermitian(float(np.sqrt(dev)), float(np.sqrt(scale)), unit)
+    dev, scale = float(np.sqrt(dev)), float(np.sqrt(scale))
+    if dev > 1e-9 * max(scale, _UNDERFLOW):
+        raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev * unit:.3e})")
     return matrices
 
 

@@ -187,22 +187,32 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
 
     Raises DegenerateInterval when delta*tau sits within 1e-9 of a multiple
     of pi (including tau = 0), where A vanishes and purification fails, and
-    a plain ValueError when delta overflows, or delta*tau is not finite or
-    so large that the spacing of doubles there exceeds that 1e-9. The
-    dominant eigenvalue is computed through two algebraically independent
-    routes and cross-checked to 1e-9; |e^C| likewise comes out of two
-    formulas checked against each other to 1e-12.
+    a plain ValueError when delta overflows, delta*tau is not finite, or a
+    phase the closed forms take (delta*tau, (big_omega+omega)*tau/2 or
+    big_omega_plus-or-minus*tau/2) is so large that doubles there are more
+    than that 1e-9 apart. The dominant eigenvalue is computed through two
+    algebraically independent routes and cross-checked to 1e-9; |e^C|
+    likewise comes out of two formulas checked against each other to 1e-12.
     """
     d_om = p.big_omega - p.omega
     delta = _delta(p)
     dtau = delta * p.tau
     if not np.isfinite(dtau):
         raise ValueError(f"delta*tau = {dtau!r} is not finite")
-    step = abs(float(np.spacing(dtau)))
+    om_plus = (p.big_omega + p.omega) / 2 + delta
+    om_minus = (p.big_omega + p.omega) / 2 - delta
+    phases = {
+        "delta*tau": dtau,
+        "(big_omega+omega)*tau/2": (p.big_omega + p.omega) * p.tau / 2,
+        "big_omega_plus*tau/2": om_plus * p.tau / 2,
+        "big_omega_minus*tau/2": om_minus * p.tau / 2,
+    }
+    name, phase = max(phases.items(), key=lambda item: abs(item[1]))
+    step = float(np.spacing(abs(phase)))
     if step > 1e-9:
         raise ValueError(
-            f"delta*tau = {dtau!r} is too large to resolve: doubles there are "
-            f"{step:.3e} apart, more than the 1e-9 window of the closed forms"
+            f"delta*tau = {dtau!r} cannot be resolved: the closed forms take {name} = "
+            f"{phase!r}, where doubles are {step:.3e} apart, more than their 1e-9 window"
         )
     nearest = round(dtau / np.pi)
     if abs(dtau - nearest * np.pi) <= 1e-9:
@@ -229,8 +239,6 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     lambda0 = np.exp(-aa * w)
 
     # Route 2: cotangent form in the normal-mode frequencies.
-    om_plus = (p.big_omega + p.omega) / 2 + delta
-    om_minus = (p.big_omega + p.omega) / 2 - delta
     c_plus = 1 + d_om / (2 * delta)
     c_minus = 1 - d_om / (2 * delta)
     s = _cot_term(c_plus, om_plus * p.tau / 2) + _cot_term(c_minus, om_minus * p.tau / 2)

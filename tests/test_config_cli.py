@@ -974,7 +974,8 @@ REFUSED_CONFIGS = {
     "big_omega_huge": ZENO_SCAN_CONFIG.replace("big_omega = 1", "big_omega = 1e300"),
     # Both read h.mat, a 2x2 (D = 4) H that is not Hermitian.
     "not_hermitian": EXPLICIT_H,
-    # The doubles near delta*tau are 1.9e-9 apart, past the closed forms' 1e-9.
+    # The doubles near (big_omega+omega)*tau/2 are 7.5e-9 apart, past the
+    # closed forms' 1e-9.
     "tuned_huge": FIG1_CONFIG.replace("tuned_m = 1", "tuned_m = 10000000"),
     "wide_propagator": EXPLICIT_V.replace("v.mat", "h.mat"),
 }
@@ -1003,8 +1004,9 @@ NOT_HERMITIAN_H[0, 1] = 0.5
     ("zeno", "alpha_nan", None, "probe amplitudes contain non-finite entries"),
     ("spectrum", "not_hermitian", None, "hamiltonian is not Hermitian (deviation 7.071e-01)"),
     ("spectrum", "wide_propagator", None, "a propagator file must declare dim_a = 1"),
-    *[(command, "tuned_huge", None, "delta*tau = 10471975.511965979 is too large to resolve: "
-       "doubles there are 1.863e-09 apart, more than the 1e-9 window of the closed forms")
+    *[(command, "tuned_huge", None, "delta*tau = 10471975.511965979 cannot be resolved: the "
+       "closed forms take (big_omega+omega)*tau/2 = 52359877.55982989, where doubles are "
+       "7.451e-09 apart, more than their 1e-9 window")
       for command in ("spectrum", "purify", "compare")],
 ])
 def test_refused_value_is_one_error_line(tmp_path, capsys, command, config, steps, message):
@@ -1273,29 +1275,12 @@ COMPARE_GOLDENS = pytest.mark.parametrize("config, argv, exit_code, golden", [
         "no-gap-cutoff-6", "trajectory-refused"])
 
 
-@COMPARE_GOLDENS
-def test_golden_compare(tmp_path, config, argv, exit_code, golden):
-    # One case per branch: every check runs and passes; the probe's cutoff
-    # is refused, so no V exists for the checks that need one; the
-    # closed-form trajectory is refused at its boundary; the geometric check
-    # is skipped without a magnitude gap; and it is refused on tied pairs.
-    # The probe is refused where there is no magnitude gap either, and the
-    # trajectory is refused after printing some of its distances. The
-    # goldens were made at one BLAS thread, and the last digits of the
-    # trajectory-refused case's V move with the thread count, so each case
-    # runs in a fresh process at one thread.
-    proc = fresh_process(["-m", "zenopure.cli", "compare", "--config", write(tmp_path, config),
-                          *argv], {"OPENBLAS_NUM_THREADS": "1"})
-    assert (proc.returncode, proc.stderr) == (exit_code, "")
-    assert proc.stdout == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
-
-
-def compare_breached(out: str) -> bool:
-    """Whether compare's lines, all but the status line, hold a breach: a
-    check refused, or a value above its ``_tolerance`` line. A skipped check
-    has no tolerance line; it and the notes never breach."""
+def assert_status_follows_lines(code: int, out: str) -> None:
+    """compare's status is breach, and its exit code 3, exactly when a line
+    before the status breaches: a check refused, or a value above its
+    ``_tolerance`` line. A skipped check has no tolerance line; it and the
+    notes never breach."""
     *lines, status = out.splitlines()
-    assert status.startswith("status = ")
     values = dict(line.split(" = ", 1) for line in lines)
     assert len(values) == len(lines)
     breached = False
@@ -1308,23 +1293,41 @@ def compare_breached(out: str) -> bool:
             breached = True
         elif tolerance is not None:
             breached |= float(value) > float(tolerance)
-    return breached
+    assert status == f"status = {'breach' if breached else 'ok'}"
+    assert code == (3 if breached else 0)
 
 
-@pytest.mark.parametrize("tol", [None, "1e-20"], ids=["golden", "tol-1e-20"])
+@COMPARE_GOLDENS
+def test_golden_compare(tmp_path, capsys, config, argv, exit_code, golden):
+    # One case per branch: every check runs and passes; the probe's cutoff
+    # is refused, so no V exists for the checks that need one; the
+    # closed-form trajectory is refused at its boundary; the geometric check
+    # is skipped without a magnitude gap; and it is refused on tied pairs.
+    # The probe is refused where there is no magnitude gap either, and the
+    # trajectory is refused after printing some of its distances.
+    argv = ["compare", "--config", write(tmp_path, config), *argv]
+    if golden == "compare_trajectory_refused.txt":
+        # engine.ProbeContraction.propagator forms V in one matmul whose last
+        # bits move with the BLAS thread count at this shape, and this
+        # golden's last digits with them. It was made at one thread and is
+        # held there.
+        proc = fresh_process(["-m", "zenopure.cli", *argv], {"OPENBLAS_NUM_THREADS": "1"})
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+    assert_status_follows_lines(code, out)
+
+
 @COMPARE_GOLDENS
 def test_compare_status_follows_its_lines(tmp_path, capsys, monkeypatch, config, argv,
-                                          exit_code, golden, tol):
-    # status = breach, and exit code 3, exactly when some line breaches: in
-    # each golden, and in a fresh run with every tolerance at 1e-20.
-    if tol is None:
-        code, out = exit_code, (GOLDEN_DIR / golden).read_text(encoding="utf-8")
-    else:
-        monkeypatch.setenv("ZENOPURE_TOL", tol)
-        code, out, _ = run_cli(capsys, "compare", "--config", write(tmp_path, config), *argv)
-    breached = compare_breached(out)
-    assert out.endswith(f"status = {'breach' if breached else 'ok'}\n")
-    assert code == (3 if breached else 0)
+                                          exit_code, golden):
+    # With every tolerance at 1e-20 each value line breaches, and the status
+    # and exit code follow.
+    monkeypatch.setenv("ZENOPURE_TOL", "1e-20")
+    code, out, _ = run_cli(capsys, "compare", "--config", write(tmp_path, config), *argv)
+    assert_status_follows_lines(code, out)
 
 
 def fresh_process(args, env_overrides=None):

@@ -161,19 +161,25 @@ def test_coefficients_refuse_non_finite_interval(tau):
     assert str(info.value) == f"delta*tau = {0.2 * tau!r} is not finite"
 
 
-@pytest.mark.parametrize("m", [10**7, 10**17])
-def test_coefficients_refuse_an_interval_past_double_resolution(m):
-    # At tuned_m = 10^7 the doubles near delta*tau are 1.9e-9 apart, wider
-    # than the 1e-9 window of the degeneracy test and the lambda0 cross-check.
-    # Neither is trusted there: the refusal comes first, as a plain
-    # ValueError, where the cross-check failed (10^7) or the interval passed
-    # for degenerate (10^17).
-    p = dataclasses.replace(REFERENCE, tau=tuned_tau(REFERENCE, m, "plus"))
+@pytest.mark.parametrize("g, m", [(0.2, 10**7), (0.2, 10**17), (0.05, 10**7), (0.01, 10**8)])
+def test_coefficients_refuse_an_interval_past_double_resolution(g, m):
+    # Past about 8.4e6 the doubles are more than 1e-9 apart, wider than the
+    # window of the degeneracy test and the lambda0 cross-check. At
+    # tuned_m = m the phase big_omega_plus*tau/2 is m*pi whatever g is, and
+    # (big_omega+omega)*tau/2 larger still, while delta*tau shrinks with g.
+    # Neither check is trusted there: the refusal comes first, as a plain
+    # ValueError naming delta*tau, where the cross-check failed (10^7; 10^8
+    # at g = 0.01) or the interval passed for degenerate (10^17).
+    p = dataclasses.replace(REFERENCE, g=g)
+    p = dataclasses.replace(p, tau=tuned_tau(p, m, "plus"))
     with pytest.raises(ValueError) as info:
         coefficients(p)
     assert type(info.value) is ValueError
-    assert str(info.value).startswith(f"delta*tau = {0.2 * p.tau!r} is too large to resolve")
-    coefficients(dataclasses.replace(REFERENCE, tau=tuned_tau(REFERENCE, 10**6, "plus")))
+    dtau = float(np.sqrt(g ** 2)) * p.tau
+    assert str(info.value).startswith(f"delta*tau = {dtau!r} cannot be resolved: the closed "
+                                      f"forms take (big_omega+omega)*tau/2 = ")
+    p = dataclasses.replace(p, tau=tuned_tau(p, 10**6, "plus"))
+    coefficients(p)
 
 
 def test_coefficients_identity_grid():
