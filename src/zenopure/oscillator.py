@@ -17,13 +17,12 @@ exponential form and a cotangent form) and the two are asserted to agree.
 
 H conserves the total excitation number n_a + n_b, and so do a†b and a b†:
 the Hamiltonian and the four-factor product are block-diagonal in it, and
-factorized_propagator works one excitation block at a time. scipy is
-imported inside the closed forms that use it, so importing the package
-does not load it.
+factorized_propagator works one excitation block at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .linalg import _block_selection
 
 __all__ = [
     "DegenerateInterval",
+    "CrossCheckFailed",
     "CutoffTooSmall",
     "ZeroFrequency",
     "OscillatorParams",
@@ -57,6 +57,11 @@ class DegenerateInterval(ValueError):
     At these intervals A = 0 and |e^C| = 1, the projected propagator is
     unitary up to a scalar, and purification cannot proceed.
     """
+
+
+class CrossCheckFailed(ValueError):
+    """Two independent closed-form routes to one quantity disagree by more
+    than their bound: at this interval the closed forms cannot vouch for it."""
 
 
 class CutoffTooSmall(ValueError):
@@ -192,7 +197,9 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     big_omega_plus-or-minus*tau/2) is so large that doubles there are more
     than that 1e-9 apart. The dominant eigenvalue is computed through two
     algebraically independent routes and cross-checked to 1e-9; |e^C|
-    likewise comes out of two formulas checked against each other to 1e-12.
+    likewise comes out of two formulas checked against each other to 1e-12,
+    and e^C e^{-C} against 1 to 1e-12. A failed cross-check raises
+    CrossCheckFailed, naming both values and the bound.
     """
     d_om = p.big_omega - p.omega
     delta = _delta(p)
@@ -247,20 +254,24 @@ def coefficients(p: OscillatorParams) -> ClosedFormCoefficients:
     else:
         lambda0_cot = 1.0 + 0.0j
     if abs(lambda0 - lambda0_cot) > 1e-9:
-        raise ArithmeticError(
-            f"dominant-eigenvalue cross-check failed: exponential form "
-            f"{lambda0!r} vs cotangent form {lambda0_cot!r}"
+        raise CrossCheckFailed(
+            f"dominant-eigenvalue cross-check failed: exponential form {complex(lambda0)!r} "
+            f"vs cotangent form {complex(lambda0_cot)!r} differ by more than 1e-9"
         )
 
     one_minus_exp_neg_c = (exp_c - 1.0) / exp_c
     alpha_tilde = a_coef * p.alpha / one_minus_exp_neg_c
     abs_exp_c = float(np.sqrt(max(0.0, 1 - (p.g / delta) ** 2 * sin_dt ** 2)))
     if abs(abs(exp_c) - abs_exp_c) > 1e-12:
-        raise ArithmeticError(
-            f"|e^C| cross-check failed: {abs(exp_c)!r} vs {abs_exp_c!r}"
+        raise CrossCheckFailed(
+            f"|e^C| cross-check failed: {float(abs(exp_c))!r} vs {abs_exp_c!r} "
+            f"differ by more than 1e-12"
         )
     if abs(exp_c * exp_neg_c - 1.0) > 1e-12:
-        raise ArithmeticError("e^C * e^{-C} deviates from 1")
+        raise CrossCheckFailed(
+            f"e^C * e^(-C) cross-check failed: {complex(exp_c * exp_neg_c)!r} vs 1 "
+            f"differ by more than 1e-12"
+        )
     return ClosedFormCoefficients(
         delta=delta,
         big_omega_plus=float(om_plus),
@@ -280,6 +291,18 @@ def lambda_n(c: ClosedFormCoefficients, n: int) -> complex:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return complex(c.lambda0 * c.exp_c ** n)
+
+
+def _shift_exponential(coef: complex, shifts: np.ndarray) -> np.ndarray:
+    """e^{coef L} for the nilpotent lower shift L with L[i+1, i] = shifts[i],
+    as its exact finite sum: entry (i, j), i >= j, is coef^(i-j)/(i-j)! times
+    shifts[j] ... shifts[i-1]. A cumulative product down each column forms
+    it, one factor coef shifts[i-1] / (i - j) per row. The transpose is
+    e^{coef L^T}."""
+    n = len(shifts) + 1
+    steps = np.arange(n)[:, None] - np.arange(n)[None, :]
+    ratios = coef * np.concatenate(([0.0], shifts))[:, None] / np.maximum(steps, 1)
+    return np.tril(np.cumprod(np.where(steps > 0, ratios, 1.0), axis=0))
 
 
 def _excitation_states(na: int, nb: int):
@@ -337,10 +360,9 @@ def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:
     if alpha == 0:
         amps[0] = 1.0
         return amps
-    from scipy.special import gammaln
-
     n = np.arange(cutoff, dtype=float)
-    mag = np.exp(n * np.log(_modulus(alpha)) - 0.5 * gammaln(n + 1) - _modulus(alpha) ** 2 / 2)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(cutoff)])
+    mag = np.exp(n * np.log(_modulus(alpha)) - 0.5 * log_factorial - _modulus(alpha) ** 2 / 2)
     amps = mag * np.exp(1j * n * np.angle(alpha))
     tail = max(0.0, 1.0 - float(np.sum(mag ** 2)))
     if tail > 1e-10:
@@ -387,12 +409,15 @@ def closed_form_rho(p: OscillatorParams, n: int) -> ThermalTrajectoryClosedForm:
     gauge_norm = float(1.0 - c.abs_exp_c ** (2 * n) * boltz)
     if not 0.0 < gauge_norm <= 1.0:
         raise ArithmeticError(f"gauge norm {gauge_norm!r} left (0, 1]")
-    from scipy.linalg import expm
-
     zeta = p.alpha * theta / gauge_norm
     nb = p.n_max_b
     b = destroy(nb)
-    disp = expm(zeta * b.conj().T - np.conj(zeta) * b)
+    # D(zeta) = exp(zeta b† - zeta* b) on the truncated space, as exp(-iG) of
+    # the Hermitian G = i (zeta b† - zeta* b). The normal-ordered form would
+    # hold the infinite model's entries instead, and its boundary weight
+    # would no longer show a cutoff that is too small.
+    w, q = np.linalg.eigh(1j * (zeta * b.conj().T - np.conj(zeta) * b))
+    disp = (q * np.exp(-1j * w)) @ q.conj().T
     gauss = (boltz * c.abs_exp_c ** (2 * n)) ** np.arange(nb, dtype=float)
     raw = (disp * gauss) @ disp.conj().T
     raw = (raw + raw.conj().T) / 2
@@ -419,10 +444,14 @@ def closed_form_propagator(p: OscillatorParams) -> np.ndarray:
     r = A/(1 - e^{-C}) and alpha = alpha_tilde / r, the eigenvector map: its
     column k, U|k>, is the k-th right eigenvector, with eigenvalue
     lambda0 (e^C)^k, and column 0 the coherent state alpha_tilde up to
-    normalization. This is the branch-free realization of the geometric
-    spectrum and serves as the entrywise oracle for the engine-built
-    propagator; like every truncated closed form it is trustworthy on
-    low-occupation blocks only, away from the Fock boundary.
+    normalization. U and U^{-1} are taken in normal order,
+    U = e^{xy/2} e^{y b†} e^{x b} and U^{-1} = e^{xy/2} e^{-y b†} e^{-x b}
+    with x = r alpha* and y = r alpha, whose factors are exact finite sums,
+    so each holds the infinite model's entries. This is the branch-free
+    realization of the geometric spectrum and serves as the entrywise oracle
+    for the engine-built propagator; the product U diag U^{-1} is still cut
+    at the Fock boundary, so it is trustworthy on low-occupation blocks
+    only.
     """
     c = coefficients(p)
     nb = p.n_max_b
@@ -430,14 +459,12 @@ def closed_form_propagator(p: OscillatorParams) -> np.ndarray:
     r = c.a_coef / (1.0 - c.exp_neg_c)
     if r == 0:  # U is the identity
         return np.diag(c.lambda0 * powers)
-    from scipy.linalg import expm
-
     alpha = c.alpha_tilde / r
-    b = destroy(nb)
-    gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
-    u = expm(gen)
-    u_inv = expm(-gen)
-    return c.lambda0 * (u * powers) @ u_inv
+    x, y = r * np.conj(alpha), r * alpha
+    raising = np.sqrt(np.arange(1.0, nb))  # b† takes |n> to sqrt(n + 1) |n + 1>
+    u = _shift_exponential(y, raising) @ _shift_exponential(x, raising).T
+    u_inv = _shift_exponential(-y, raising) @ _shift_exponential(-x, raising).T
+    return c.lambda0 * np.exp(x * y) * (u * powers) @ u_inv
 
 
 def factorized_propagator(p: OscillatorParams, indices=None) -> np.ndarray:
@@ -445,7 +472,9 @@ def factorized_propagator(p: OscillatorParams, indices=None) -> np.ndarray:
 
     e^{A a†b} (e^B)^{a†a} (e^C)^{b†b} e^{-A a b†}, with the diagonal factors
     raised entrywise from e^B and e^C (no logarithms), formed on each block
-    of fixed n_a + n_b and assembled into the D x D matrix. Exact on the
+    of fixed n_a + n_b and assembled into the D x D matrix. On a block, a†b
+    is a nilpotent lower shift, so e^{A a†b} is its exact finite sum, and
+    e^{-A a b†} is the transpose of e^{-A a†b}. Exact on the
     infinite space; truncation error concentrates at the Fock boundary, so
     comparisons against the eigendecomposition route should restrict to an
     interior block. With ``indices`` (composite indices n_a * n_max_b + n_b)
@@ -459,8 +488,6 @@ def factorized_propagator(p: OscillatorParams, indices=None) -> np.ndarray:
     indices = np.arange(na * nb) if indices is None else np.asarray(indices, dtype=int)
     if p.tau == 0:
         return (indices[:, None] == indices[None, :]).astype(complex)
-    from scipy.linalg import expm
-
     c = coefficients(p)
     # a†b moves each state of an excitation block to the next, a b† to the
     # previous.
@@ -469,9 +496,10 @@ def factorized_propagator(p: OscillatorParams, indices=None) -> np.ndarray:
     out = np.zeros((len(indices), len(indices)), dtype=complex)
     for number, rows, local in _block_selection(groups, na * nb, indices):
         a_k, b_k = states[number]
-        up = np.diag(np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1]), k=-1)
+        shifts = np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1])
         diagonal = c.exp_b ** a_k * c.exp_c ** b_k
-        block = (expm(c.a_coef * up) * diagonal) @ expm(-c.a_coef * up.T)
+        block = ((_shift_exponential(c.a_coef, shifts) * diagonal)
+                 @ _shift_exponential(-c.a_coef, shifts).T)
         out[np.ix_(rows, rows)] = block[np.ix_(local, local)]
     return out
 

@@ -1070,10 +1070,23 @@ def test_compare_refuses_a_thermal_state_flat_in_double_precision(tmp_path, beta
     assert grab(proc.stdout, "status") == "breach"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "purify", "compare"])
+def test_failed_closed_form_cross_check_is_one_error_line(tmp_path, capsys, command):
+    # At |alpha| = 2 and tuned_m = 10^6 the two routes to lambda0 part by
+    # more than their 1e-9 bound; every command that evaluates the closed
+    # forms refuses the interval, naming both values and the bound.
+    text = FIG1_CONFIG.replace("alpha_re = 0.5", "alpha_re = 2").replace(
+        "tuned_m = 1", "tuned_m = 1000000")
+    assert run_cli(capsys, command, "--config", write(tmp_path, text), "--cutoff", "24") == (
+        1, "", "error: dominant-eigenvalue cross-check failed: exponential form "
+        "(1.0000000000000002+1.708414490392719e-09j) vs cotangent form "
+        "(1+3.5710594897172286e-09j) differ by more than 1e-9\n")
+
+
 def test_refusals_are_value_errors():
     # main reports a ValueError as a refused input (exit code 1); every
     # refusal the package raises must be one.
-    for refusal in (ConfigError, linalg.NotHermitian, osc.CutoffTooSmall,
+    for refusal in (ConfigError, linalg.NotHermitian, osc.CutoffTooSmall, osc.CrossCheckFailed,
                     osc.DegenerateInterval, osc.ZeroFrequency, np.linalg.LinAlgError):
         assert issubclass(refusal, ValueError), refusal
 
@@ -1379,6 +1392,22 @@ def test_import_does_not_load_scipy():
     for statement in ("import zenopure", "from zenopure import *"):
         out = run_fresh(["-c", f"import sys; {statement}; print('scipy' in sys.modules)"])
         assert out.strip() == "False", statement
+
+
+@pytest.mark.parametrize("command", ["figure1", "spectrum", "purify", "compare", "zeno"])
+def test_commands_run_without_scipy(tmp_path, command):
+    # Each subcommand, in a fresh process, leaves scipy unimported; and with
+    # sys.modules["scipy"] = None, so that importing scipy fails, it prints
+    # the same stdout with the same exit code.
+    argv = [command]
+    if command != "figure1":
+        argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG if command == "zeno" else FIG1_CONFIG)]
+    script = ("import sys; {block}from zenopure.cli import main; code = main({argv!r}); "
+              "print(sys.modules.get('scipy') is not None, file=sys.stderr); sys.exit(code)")
+    normal = fresh_process(["-c", script.format(block="", argv=argv)])
+    blocked = fresh_process(["-c", script.format(block="sys.modules['scipy'] = None; ", argv=argv)])
+    assert (normal.returncode, normal.stderr) == (0, "False\n")
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (0, normal.stdout, "False\n")
 
 
 def test_package_exports_each_module_all():

@@ -18,6 +18,7 @@ from zenopure.engine import (
     run_purification,
     trace_distance,
 )
+from zenopure import oscillator as osc
 from zenopure.linalg import unitary_exponential, unitary_from_blocks
 from zenopure.oscillator import (
     ClosedFormCoefficients,
@@ -500,6 +501,68 @@ def test_factorized_propagator_interior_block():
     assert block <= 1e-6
 
 
+@pytest.mark.parametrize("tau", [REFERENCE.tau, 7.0], ids=["tuned", "tau-7"])
+def test_finite_sum_factors_match_expm_on_every_block(tau):
+    # e^{A a†b} and e^{-A a b†} on each excitation block at cutoff 30, held
+    # against scipy's expm of the truncated generator. At tau = 7.0, |A| =
+    # 5.8 and the largest entry is 7.5e16. Bound: 1e-12 of the factor's
+    # largest entry; expm's own error on the upper shift a b† reaches 3e-13
+    # there, while the lower one agrees to 1e-14.
+    p = dataclasses.replace(REFERENCE, tau=tau)
+    c = coefficients(p)
+    blocks = list(osc._excitation_states(30, 30))
+    assert len(blocks) == 59
+    for a_k, b_k in blocks:
+        shifts = np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1])
+        up = np.diag(shifts, k=-1)
+        for factor, generator in (
+            (osc._shift_exponential(c.a_coef, shifts), c.a_coef * up),
+            (osc._shift_exponential(-c.a_coef, shifts).T, -c.a_coef * up.T),
+        ):
+            reference = scipy.linalg.expm(generator)
+            scale = np.abs(reference).max()
+            assert np.abs(factor - reference).max() <= 1e-12 * scale
+
+
+DETUNED = OscillatorParams(1.3, 1.0, 0.35, 0.4 + 0.3j, beta=0.7, tau=1.0)
+
+
+def expm_closed_form_propagator(p: OscillatorParams) -> np.ndarray:
+    """lambda0 U diag((e^C)^k) U^{-1} with U = expm of the truncated
+    generator r (alpha* b + alpha b†), not in normal order."""
+    c = coefficients(p)
+    powers = c.exp_c ** np.arange(p.n_max_b)
+    r = c.a_coef / (1.0 - c.exp_neg_c)
+    alpha = c.alpha_tilde / r
+    b = destroy(p.n_max_b)
+    gen = r * (np.conj(alpha) * b + alpha * b.conj().T)
+    return c.lambda0 * (scipy.linalg.expm(gen) * powers) @ scipy.linalg.expm(-gen)
+
+
+@pytest.mark.parametrize("base", [REFERENCE, DETUNED], ids=["reference", "detuned"])
+@pytest.mark.parametrize("interval", ["tuned", "1.3", "tuned/7", "7.0"])
+def test_normal_ordered_propagator_matches_expm_form(base, interval):
+    # On compare's 11 x 11 block at cutoff 30 the normal-ordered eigenvector
+    # map and the expm of its truncated generator give one V to 1e-14
+    # (entries are at most 0.93; the largest difference seen is 5.6e-16).
+    tuned = tuned_tau(base, 1, "plus")
+    tau = {"tuned": tuned, "1.3": 1.3, "tuned/7": tuned / 7, "7.0": 7.0}[interval]
+    p = dataclasses.replace(base, tau=tau)
+    block = np.s_[:11, :11]
+    np.testing.assert_allclose(closed_form_propagator(p)[block],
+                               expm_closed_form_propagator(p)[block], rtol=0, atol=1e-14)
+    # Each factor of the normal-ordered map is its expm.
+    c = coefficients(p)
+    r = c.a_coef / (1.0 - c.exp_neg_c)
+    alpha = c.alpha_tilde / r
+    x, y = r * np.conj(alpha), r * alpha
+    raising = np.sqrt(np.arange(1.0, 30))
+    b = destroy(30)
+    for coef in (x, y, -x, -y):
+        np.testing.assert_allclose(osc._shift_exponential(coef, raising),
+                                   scipy.linalg.expm(coef * b.conj().T), rtol=0, atol=1e-13)
+
+
 def assembled_propagators(p: OscillatorParams, blocks):
     """Both D x D propagators scattered block by block, as a plain loop."""
     d = p.n_max_a * p.n_max_b
@@ -514,10 +577,11 @@ def assembled_propagators(p: OscillatorParams, blocks):
     for k in range(p.n_max_a + p.n_max_b - 1):
         idx = np.flatnonzero(occ_a + occ_b == k)
         a_k, b_k = occ_a[idx], occ_b[idx]
-        up = np.diag(np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1]), k=-1)
+        shifts = np.sqrt(a_k[:-1] + 1.0) * np.sqrt(b_k[:-1])
         diagonal = c.exp_b ** a_k * c.exp_c ** b_k
         product[np.ix_(idx, idx)] = (
-            (scipy.linalg.expm(c.a_coef * up) * diagonal) @ scipy.linalg.expm(-c.a_coef * up.T)
+            (osc._shift_exponential(c.a_coef, shifts) * diagonal)
+            @ osc._shift_exponential(-c.a_coef, shifts).T
         )
     return direct, product
 
