@@ -1,13 +1,9 @@
-"""Experiment configuration: a TOML-like text format with one [model] section.
+"""Experiment configuration: TOML, one [model] table.
 
-The grammar is deliberately tiny so any language can parse it: comments run
-from '#' to end of line, one section header per line, and 'key = value'
-pairs where a value is an integer, a float, true/false, a double-quoted
-string, or a flat [v, v, ...] list of scalars. Matrices travel in separate
-text files: the header "dim_a dim_b" followed by "re im" pairs in row-major
-order, all as whitespace-separated tokens in free layout (line breaks
-anywhere). The header tokens are integers; each entry token is anything
-Python's float() accepts.
+Matrices travel in separate text files: the header "dim_a dim_b" followed
+by "re im" pairs in row-major order, all as whitespace-separated tokens in
+free layout (line breaks anywhere). The header tokens are integers; each
+entry token is anything Python's float() accepts.
 
 Exactly one model source must be present: inline oscillator parameters, a
 Hamiltonian file plus probe vector and interval, or a ready-made projected
@@ -96,8 +92,10 @@ class ExperimentConfig:
                 raise ConfigError("oscillator model does not take a probe vector")
             has_tau = self.tau is not None
             has_tuned = self.tuned_m is not None or self.tuned_branch is not None
-            if has_tau == has_tuned:
+            if has_tau and has_tuned:
                 raise ConfigError("give either tau or tuned_m/tuned_branch, not both")
+            if not (has_tau or has_tuned):
+                raise ConfigError("oscillator model needs tau or tuned_m/tuned_branch")
             if has_tuned:
                 if self.tuned_m is None or self.tuned_branch is None:
                     raise ConfigError("tuned interval needs both tuned_m and tuned_branch")
@@ -130,84 +128,6 @@ class ExperimentConfig:
         if self.n_values is not None:
             if not self.n_values or any(n < 1 for n in self.n_values):
                 raise ConfigError("n_values must be a nonempty list of integers >= 1")
-
-
-def _parse_scalar(text: str, where: str):
-    s = text.strip()
-    if not s:
-        raise ConfigError(f"empty value {where}")
-    if s.startswith('"'):
-        if not (s.endswith('"') and len(s) >= 2) or '"' in s[1:-1]:
-            raise ConfigError(f"malformed string {where}: {s!r}")
-        return s[1:-1]
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {where}: {s!r}") from None
-
-
-def _parse_value(text: str, where: str):
-    s = text.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ConfigError(f"unterminated list {where}")
-        inner = s[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part, where) for part in inner.split(",")]
-    return _parse_scalar(s, where)
-
-
-def _strip_comment(line: str) -> str:
-    # '#' only opens a comment outside quoted strings.
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_sections(text: str) -> dict[str, dict]:
-    sections: dict[str, dict] = {}
-    current: dict | None = None
-    current_name = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {lineno}: malformed section header {line!r}")
-            current_name = line[1:-1].strip()
-            if current_name in sections:
-                raise ConfigError(f"line {lineno}: duplicate section {current_name!r}")
-            current = {}
-            sections[current_name] = current
-            continue
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any section")
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in current:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        current[key] = _parse_value(value, f"for {key!r} (line {lineno})")
-    return sections
 
 
 _NUMBER = (int, float)
@@ -260,13 +180,17 @@ def _take(raw: dict, key: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse configuration text into an ExperimentConfig."""
-    sections = _parse_sections(text)
-    if set(sections) != {"model"}:
-        raise ConfigError(
-            f"expected exactly one [model] section, found {sorted(sections) or 'none'}"
-        )
-    raw = dict(sections["model"])
+    """Parse TOML text holding one [model] table into an ExperimentConfig."""
+    import tomllib  # here, so that importing zenopure does not load it
+
+    try:
+        document = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from None
+    if list(document) != ["model"] or not isinstance(document["model"], dict):
+        found = ", ".join(f"{key} ({type(value).__name__})" for key, value in document.items())
+        raise ConfigError(f"expected exactly one [model] table, found {found or 'none'}")
+    raw = document["model"]
     if "kind" not in raw:
         raise ConfigError("[model] is missing required key 'kind'")
     fields = {key: _take(raw, key) for key in _KEYS}
@@ -289,9 +213,15 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+#: The escapes emit_config writes in a TOML basic string: backslash, quote
+#: and every control character.
+_TOML_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"',
+                 **{code: f"\\u{code:04x}" for code in (*range(0x20), 0x7F)}}
+
+
 def _fmt(x) -> str:
     if isinstance(x, str):
-        return f'"{x}"'
+        return f'"{x.translate(_TOML_ESCAPES)}"'
     if isinstance(x, tuple):
         return f"[{', '.join(map(_fmt, x))}]"
     if isinstance(x, int):

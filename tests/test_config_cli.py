@@ -4,8 +4,10 @@ import dataclasses
 import inspect
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -258,6 +260,14 @@ BAD_CONFIGS = [
     FIG1_CONFIG + "n_values = [1.5]\n",  # scan points must be integers
     FIG1_CONFIG + "total_time = 0\n",  # total_time must be positive
     FIG1_CONFIG.replace("g = 0.2", "g = [0.2]"),  # list for a scalar
+    # Numbers float() reads but TOML does not.
+    FIG1_CONFIG.replace("g = 0.2", "g = .5"),
+    FIG1_CONFIG.replace("g = 0.2", "g = 1."),
+    FIG1_CONFIG.replace("g = 0.2", "g = Infinity"),
+    FIG1_CONFIG.replace("g = 0.2", "g = NaN"),
+    FIG1_CONFIG.replace("n_steps = 30", "n_steps = 01"),
+    FIG1_CONFIG.replace("[model]", "[[model]]"),  # an array of tables
+    FIG1_CONFIG + "[model.sub]\nx = 1\n",  # a sub-table
 ]
 
 
@@ -276,7 +286,7 @@ CARRIES_OSCILLATOR_KEYS = "explicit model must not carry oscillator parameters"
     ('[model]\nkind = "oscillator"\nhamiltonian_file = "h.mat"\n',
      "oscillator model needs inline parameters"),
     (FIG1_CONFIG.replace("g = 0.2\n", ""), "oscillator model is missing 'g'"),
-    (FIG1_CONFIG.replace("g = 0.2", "g ="), "empty value for 'g' (line 5)"),
+    (FIG1_CONFIG.replace("g = 0.2", "g ="), "Invalid value (at line 5, column 4)"),
     (FIG1_CONFIG.replace('kind = "oscillator"\n', ""), "[model] is missing required key 'kind'"),
     (EXPLICIT_H.replace("probe_re = [1, 0]", "probe_re = 1"), "key 'probe_re' must be a list"),
     # Keys the chosen model would ignore.
@@ -293,16 +303,47 @@ CARRIES_OSCILLATOR_KEYS = "explicit model must not carry oscillator parameters"
     (EXPLICIT_V + "n_max_a = 30\nn_max_b = 30\n", CARRIES_OSCILLATOR_KEYS),
     (EXPLICIT_V + "tau = 0.3\n", "propagator_file does not take tau"),
     (EXPLICIT_V + "tau = -1\n", "propagator_file does not take tau"),
+    (FIG1_CONFIG.replace(_TUNED, ""), "oscillator model needs tau or tuned_m/tuned_branch"),
 ], ids=["oscillator_without_inline", "missing_g", "empty_value", "missing_kind",
         "probe_not_list", "oscillator_probe", "explicit_g", "explicit_omega",
         "explicit_beta_alpha", "explicit_alpha_im", "explicit_tuned_m",
         "explicit_tuned_branch", "propagator_g", "explicit_n_max_a",
         "explicit_n_max_b", "propagator_n_max", "propagator_tau",
-        "propagator_negative_tau"])
+        "propagator_negative_tau", "neither_tau_nor_tuned"])
 def test_parse_refusals_word_for_word(text, message):
     with pytest.raises(ConfigError) as caught:
         parse_config(text)
     assert str(caught.value) == message
+
+
+def test_parse_reads_what_toml_reads():
+    # TOML syntax the format accepts: hexadecimal integers, literal strings,
+    # and escapes in basic strings.
+    assert parse_config(FIG1_CONFIG.replace("n_steps = 30", "n_steps = 0x10")).n_steps == 16
+    assert parse_config(EXPLICIT_V.replace('"v.mat"', "'v.mat'")).propagator_file == "v.mat"
+    assert parse_config(EXPLICIT_V.replace('"v.mat"', '"a\\\\b"')).propagator_file == "a\\b"
+
+
+@pytest.mark.parametrize("name", ["a\\b.mat", "a\\tb.mat", "a\tb.mat", 'x"y.mat',
+                                  "ham#1.mat", "données.mat"])
+def test_round_trip_file_names(name):
+    # emit_config escapes what a TOML basic string must, so a name reads back
+    # as written: no backslash starts an escape and no quote ends the string.
+    for cfg in (ExperimentConfig(kind="explicit", propagator_file=name),
+                ExperimentConfig(kind="explicit", hamiltonian_file=name, probe=(1 + 0j,),
+                                 tau=0.5)):
+        assert parse_config(emit_config(cfg)) == cfg
+
+
+def test_readme_config_examples_parse_and_round_trip():
+    # Every indented [model] example in README's "Config format" section.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n")[1].split("\n## ")[0]
+    examples = re.findall(r"^    \[model\]\n(?:    .*\n)+", section, re.MULTILINE)
+    assert len(examples) == 3
+    for example in examples:
+        cfg = parse_config(textwrap.dedent(example))
+        assert parse_config(emit_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1390,8 +1431,9 @@ def test_readme_session_runs_and_quick_start_rows_are_figure1s(capsys):
 
 def test_import_does_not_load_scipy():
     for statement in ("import zenopure", "from zenopure import *"):
-        out = run_fresh(["-c", f"import sys; {statement}; print('scipy' in sys.modules)"])
-        assert out.strip() == "False", statement
+        out = run_fresh(["-c", f"import sys; {statement}; "
+                                "print('scipy' in sys.modules, 'tomllib' in sys.modules)"])
+        assert out.strip() == "False False", statement
 
 
 @pytest.mark.parametrize("command", ["figure1", "spectrum", "purify", "compare", "zeno"])
