@@ -168,7 +168,7 @@ def _take(raw: dict, key: str):
     if kinds is not list:
         if not isinstance(value, kinds) or isinstance(value, bool):
             raise ConfigError(f"key {key!r} has the wrong type")
-        return stored(value)
+        return _stored(key, stored, value)
     if not isinstance(value, list):
         raise ConfigError(f"key {key!r} must be a list")
     for item in value:
@@ -176,7 +176,16 @@ def _take(raw: dict, key: str):
             raise ConfigError(f"key {key!r} must hold numbers only")
         if stored is int and not isinstance(item, int):
             raise ConfigError(f"key {key!r} must hold integers only")
-    return tuple(map(stored, value))
+    return tuple(_stored(key, stored, item) for item in value)
+
+
+def _stored(key: str, stored: type, value):
+    """value as the type ``stored``; an integer too large for a float is
+    refused naming its key."""
+    try:
+        return stored(value)
+    except OverflowError:
+        raise ConfigError(f"key {key!r} holds an integer too large for a float") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:

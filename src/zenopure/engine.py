@@ -12,7 +12,6 @@ conditional trajectory, and certifies the two efficiency conditions
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
@@ -21,9 +20,11 @@ import numpy as np
 from .linalg import (
     HermitianBlock,
     TopKResult,
-    _checked_blocks,
+    _blocks_of,
+    _checked_stacks,
     _decompose_blocks,
-    _dense_blocks,
+    _dense_stacks,
+    _in_block_order,
     top_k_eigenpairs,
 )
 
@@ -52,6 +53,12 @@ __all__ = [
 #: branch: the confirmation outcome essentially never occurs.
 EXTINCT_THRESHOLD = 1e-14
 
+#: Entries of W that ``contract_probe`` sums with one ``np.add.at`` at
+#: most. A stack of blocks up to this size takes one call; a larger one is
+#: summed a range of columns at a time, so that its index and value arrays
+#: stay small beside the eigenvectors.
+_ADD_AT_ENTRIES = 1 << 16
+
 #: Eigenpairs of V solved for, the most any output reads: the spectrum
 #: command's closed-form table and compare's geometric check.
 SPECTRUM_PAIRS = 5
@@ -69,7 +76,7 @@ class ExtinctBranch(RuntimeError):
 
 class BipartiteSystem:
     """Dimensions of the two factors plus the joint Hamiltonian, held as its
-    coupled blocks.
+    coupled blocks, one stack per block size.
 
     The composite basis index is a_index * dim_b + b_index (A-major), and the
     Hamiltonian is stored pre-summed; no split into free and interaction
@@ -80,17 +87,21 @@ class BipartiteSystem:
     searches once for the coupled blocks (its connected components), or
     from blocks the caller already knows, ``BipartiteSystem.from_blocks``,
     which takes them as they are given and never forms a D x D array.
-    Either way the blocks (``block_indices``, each ascending, ordered by
-    their smallest index, and their matrices, ``block_matrices``) are
-    checked once, when the system is built: shapes and finiteness here,
-    then ``linalg._checked_blocks`` sums the symmetry bound ||H - H†||_F <=
-    1e-9 ||H||_F over them, raising ``linalg.NotHermitian`` past it. The
-    system owns those blocks: ``blocks`` eigendecomposes each of them once,
-    on first use, and every propagator of the system is built from that one
+    Either way the blocks are grouped by size into ``stacks``
+    (``linalg.BlockStack``: each size's m x n index sets, each ascending,
+    and its m x n x n matrices), and the one stack constructor,
+    ``_from_stacks``, checks them once, when the system is built:
+    finiteness, that the index sets partition the basis, and the symmetry
+    bound ||H - H†||_F <= 1e-9 ||H||_F summed over them, raising
+    ``linalg.NotHermitian`` past it. The system owns those stacks:
+    ``blocks`` eigendecomposes them on first use, one ``numpy.linalg.eigh``
+    per stack, and every propagator of the system is built from that one
     decomposition. A one-block H is kept as given, not copied.
 
+    The per-block views ``block_indices`` and ``block_matrices`` (and
+    ``blocks``) list the blocks ordered by their smallest index.
     ``hamiltonian`` is the dense H. Given to the constructor, it is that
-    matrix; a block-built system assembles it from its blocks only when it
+    matrix; a block-built system assembles it from its stacks only when it
     is first read. Systems are immutable.
     """
 
@@ -103,8 +114,24 @@ class BipartiteSystem:
             raise ValueError(f"hamiltonian must be {d}x{d}, got {h.shape}")
         if not np.isfinite(h).all():
             raise ValueError("hamiltonian contains non-finite entries")
-        self._own_blocks(dim_a, dim_b, *_dense_blocks(h))
+        self._own_stacks(dim_a, dim_b, _dense_stacks(h))
         vars(self)["hamiltonian"] = h
+
+    @classmethod
+    def _from_stacks(cls, dim_a: int, dim_b: int, stacks) -> BipartiteSystem:
+        """The system whose H holds the blocks of ``stacks`` and is zero
+        elsewhere, with those blocks as its coupled blocks.
+
+        ``stacks`` are (indices, matrices) pairs, one per block size n: the
+        m x n integer index sets, each row ascending, and the m x n x n
+        complex stack of H on them, or a lone block's n x n matrix, which is
+        kept as given. They are checked as ``linalg._checked_stacks`` says.
+        """
+        if dim_a < 1 or dim_b < 1:
+            raise ValueError("dimensions must be positive")
+        system = cls.__new__(cls)
+        system._own_stacks(dim_a, dim_b, stacks)
+        return system
 
     @classmethod
     def from_blocks(cls, dim_a: int, dim_b: int, blocks) -> BipartiteSystem:
@@ -113,18 +140,18 @@ class BipartiteSystem:
 
         ``blocks`` are (indices, matrix) pairs: the index sets partition
         range(dim_a * dim_b), and each matrix is H on its indices, rows and
-        columns in the order the indices are given. Each block's shape and
-        finiteness are checked, then the partition, then the symmetry bound,
-        with the messages of the dense constructor. A block is not searched
-        or split, even where its own pattern falls apart; its indices are
-        sorted ascending (its matrix reordered with them), the blocks are
-        ordered by their smallest index, and an empty block is dropped. A
-        block given in that order already is kept as given, not copied.
+        columns in the order the indices are given. Each block's shape is
+        checked, then finiteness, the partition and the symmetry bound, with
+        the messages of the dense constructor. A block is not searched or
+        split, even where its own pattern falls apart; its indices are
+        sorted ascending (its matrix reordered with them), an empty block
+        is dropped, and the blocks are stacked by size. A block alone in
+        its size and given in that order already is kept as given, not
+        copied.
         """
         if dim_a < 1 or dim_b < 1:
             raise ValueError("dimensions must be positive")
-        d = dim_a * dim_b
-        parts = []
+        sizes = {}
         for number, (idx, m) in enumerate(blocks):
             idx = np.asarray(idx)
             m = np.asarray(m, dtype=complex)
@@ -135,53 +162,58 @@ class BipartiteSystem:
                 raise ValueError(
                     f"hamiltonian block {number} must be {len(idx)}x{len(idx)}, got {m.shape}"
                 )
-            if not np.isfinite(m).all():
-                raise ValueError("hamiltonian contains non-finite entries")
-            idx = idx.astype(np.intp)
             if (idx[1:] < idx[:-1]).any():
                 order = np.argsort(idx)
                 idx, m = idx[order], m[np.ix_(order, order)]
-            parts.append((idx, m))
-        every = np.concatenate([np.empty(0, dtype=np.intp)] + [idx for idx, _ in parts])
-        if every.size and (every.min() < 0 or every.max() >= d):
-            raise ValueError(f"block indices must lie in range({d})")
-        counts = np.bincount(every, minlength=d)
-        if (counts != 1).any():
-            raise ValueError(
-                f"block indices must partition range({d}): "
-                f"{np.count_nonzero(counts == 0)} missing, "
-                f"{np.count_nonzero(counts > 1)} repeated"
-            )
-        parts = sorted((part for part in parts if len(part[0])), key=lambda part: part[0][0])
-        system = cls.__new__(cls)
-        system._own_blocks(dim_a, dim_b, [idx for idx, _ in parts],
-                           _checked_blocks(m for _, m in parts))
-        return system
+            if len(idx):
+                sizes.setdefault(len(idx), []).append((idx, m))
+        stacks = [(parts[0][0][None], parts[0][1]) if len(parts) == 1
+                  else (np.array([idx for idx, _ in parts]), np.array([m for _, m in parts]))
+                  for parts in sizes.values()]
+        return cls._from_stacks(dim_a, dim_b, stacks)
 
-    def _own_blocks(self, dim_a: int, dim_b: int, found, matrices) -> None:
-        vars(self).update(dim_a=dim_a, dim_b=dim_b, block_indices=tuple(found),
-                          block_matrices=matrices)
+    def _own_stacks(self, dim_a: int, dim_b: int, stacks) -> None:
+        vars(self).update(dim_a=dim_a, dim_b=dim_b,
+                          stacks=_checked_stacks(dim_a * dim_b, stacks))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __repr__(self) -> str:
         return (f"BipartiteSystem(dim_a={self.dim_a}, dim_b={self.dim_b}, "
-                f"blocks={len(self.block_indices)})")
+                f"blocks={sum(len(stack.numbers) for stack in self.stacks)})")
+
+    @cached_property
+    def block_indices(self) -> tuple[np.ndarray, ...]:
+        """Each coupled block's indices, ascending, as views into the stacks."""
+        return _in_block_order(self.stacks, [stack.indices for stack in self.stacks])
+
+    @cached_property
+    def block_matrices(self) -> tuple[np.ndarray, ...]:
+        """Each coupled block's matrix, as views into the stacks; a lone
+        block kept as given is that matrix itself."""
+        return _in_block_order(self.stacks, [stack.matrices if stack.matrices.ndim == 3
+                                             else [stack.matrices] for stack in self.stacks])
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
-        """The dense D x D H, assembled from the blocks when first read."""
+        """The dense D x D H, assembled from the stacks when first read."""
         d = self.dim_a * self.dim_b
         h = np.zeros((d, d), dtype=complex)
-        for idx, m in zip(self.block_indices, self.block_matrices):
-            h[np.ix_(idx, idx)] = m
+        for stack in self.stacks:
+            h[stack.indices[:, :, None], stack.indices[:, None, :]] = stack.matrices
         return h
 
     @cached_property
+    def _decomposed(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each stack's eigenvalues and eigenvectors, solved on first use."""
+        return _decompose_blocks(self.stacks)
+
+    @cached_property
     def blocks(self) -> tuple[HermitianBlock, ...]:
-        """The eigendecomposition of H, one coupled block at a time."""
-        return _decompose_blocks(self.block_indices, self.block_matrices)
+        """The eigendecomposition of H, one coupled block at a time, as views
+        into the stacked solutions."""
+        return _blocks_of(self.stacks, self._decomposed)
 
 
 @dataclass(frozen=True)
@@ -352,27 +384,42 @@ class ProbeContraction:
 
 
 def contract_probe(sys: BipartiteSystem, phi: ProbeState) -> ProbeContraction:
-    """Contract the eigenvectors of H with the probe state, block by block.
+    """Contract the eigenvectors of H with the probe state, a stack at a time.
 
     The eigenvectors are those of ``sys.blocks``. A block eigenvector q on
     composite indices a*dim_b + i contributes conj(phi_a) q[a*dim_b + i] to
-    entry i of its column of W.
+    entry i of its column of W. Each block's columns follow those of the
+    blocks before it, and each stack's contributions are summed into W by
+    one ``np.add.at`` (a range of columns at a time past _ADD_AT_ENTRIES),
+    in the order a block-by-block sum takes them, so that W holds the same
+    bits.
     """
     if phi.dim != sys.dim_a:
         raise ValueError(
             f"probe dimension {phi.dim} does not match dim_a {sys.dim_a}"
         )
     conj_phi = phi.amplitudes.conj()
-    columns = []
-    for block in sys.blocks:
-        probe_index, b_index = np.divmod(block.indices, sys.dim_b)
-        w = np.zeros((sys.dim_b, len(block.indices)), dtype=complex)
-        np.add.at(w, b_index, conj_phi[probe_index, None] * block.eigenvectors)
-        columns.append(w)
-    return ProbeContraction(
-        rows=np.hstack(columns),
-        energies=np.concatenate([block.eigenvalues for block in sys.blocks]),
-    )
+    d = sys.dim_a * sys.dim_b
+    sizes = _in_block_order(sys.stacks, [[stack.indices.shape[1]] * len(stack.numbers)
+                                         for stack in sys.stacks])
+    starts = np.cumsum((0,) + sizes[:-1])
+    rows = np.zeros(sys.dim_b * d, dtype=complex)
+    energies = np.empty(d)
+    for stack, (values, vectors) in zip(sys.stacks, sys._decomposed):
+        probe_index, b_index = np.divmod(stack.indices, sys.dim_b)
+        m, n = stack.indices.shape
+        columns = starts[stack.numbers, None] + np.arange(n)
+        energies[columns] = values
+        weights = conj_phi[probe_index, None]
+        # Entry (b, column) of W is entry b * d + column of the flat rows.
+        # Each column's contributions are summed in one call, so a column
+        # range at a time keeps their order.
+        step = max(1, _ADD_AT_ENTRIES // (m * n))
+        for first in range(0, n, step):
+            part = slice(first, first + step)
+            np.add.at(rows, (b_index[:, :, None] * d + columns[:, None, part]).ravel(),
+                      (weights * vectors[:, :, part]).ravel())
+    return ProbeContraction(rows=rows.reshape(sys.dim_b, d), energies=energies)
 
 
 def build_projected_propagator(sys: BipartiteSystem, phi: ProbeState,
@@ -540,6 +587,9 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
                              unitarity_defect=defect)
 
     if jobs > 1:
+        # Imported here: it loads logging too, which no other run needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(point, n_list))
     return [point(n) for n in n_list]

@@ -10,14 +10,20 @@ block. A conserved quantity such as a total excitation number therefore
 turns one D x D problem into many small ones; a fully coupled matrix is a
 single block and is decomposed as it stands.
 
-A dense matrix is searched once for its blocks (``_coupled_blocks``) and
-they are cut out of it (``_dense_blocks``); blocks a caller already knows
-are taken as they are. Either way the symmetry bound ||m - m†||_F <= 1e-9
-||m||_F is summed over the blocks once (``_checked_blocks``, the one place
-that raises NotHermitian), and they are then decomposed without testing
-them again (``_decompose_blocks``).
+The blocks are held as one stack per block size (``BlockStack``): an
+m x n x n array of the m blocks of size n and their m x n index sets. A
+dense matrix is searched once for its blocks (``_coupled_blocks``) and
+they are cut out of it a stack at a time (``_dense_stacks``); blocks a
+caller already knows are stacked as they are. Either way
+``_checked_stacks`` tests the stacks once: finiteness, that their index
+sets partition the matrix, and the symmetry bound ||m - m†||_F <= 1e-9
+||m||_F summed over them (``_check_hermitian``, the one place that raises
+NotHermitian). They are then decomposed without testing them again, with
+one ``numpy.linalg.eigh`` per stack (``_decompose_blocks``), which returns
+for each block the bits that a call on that block alone returns. A lone
+block is stacked as a view of its matrix, never a copy.
 ``unitary_exponential`` does both for a raw matrix;
-``engine.BipartiteSystem`` checks its blocks when it is built, keeps them,
+``engine.BipartiteSystem`` checks its stacks when it is built, keeps them,
 and decomposes them on first use.
 
 The eigenpair routines take the whole spectrum from one LAPACK ``eig``
@@ -45,6 +51,7 @@ __all__ = [
     "NotHermitian",
     "NoConvergence",
     "HermitianBlock",
+    "BlockStack",
     "EigenPair",
     "TopKResult",
     "hermitian_eigendecompose",
@@ -118,6 +125,28 @@ class HermitianBlock:
 
 
 @dataclass(frozen=True)
+class BlockStack:
+    """The diagonal blocks of one size n of a matrix that is zero outside
+    its blocks, held as one array.
+
+    Row k of ``indices`` (m x n) holds block k's rows (and columns) of the
+    whole matrix, ascending, and ``matrices`` is the m x n x n stack of the
+    blocks themselves; a lone block kept as it was given is its n x n
+    matrix instead. ``numbers`` are the blocks' places among all blocks of
+    the matrix, which are ordered by their smallest index.
+    """
+
+    numbers: np.ndarray
+    indices: np.ndarray
+    matrices: np.ndarray
+
+    @property
+    def stack(self) -> np.ndarray:
+        """``matrices`` as an m x n x n array: a view of a lone block."""
+        return self.matrices if self.matrices.ndim == 3 else self.matrices[None]
+
+
+@dataclass(frozen=True)
 class EigenPair:
     """One eigenvalue with its right and left eigenvectors.
 
@@ -148,15 +177,49 @@ class TopKResult:
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     """Whether the arrays x and y, of one shape and dtype, hold the same
-    bits. They are compared as bytes, _COMPARE_BYTES of rows at a time, so
-    that a large array is never copied whole."""
+    bits. They are compared as bytes, _COMPARE_BYTES of matrix rows at a
+    time, so that a large array is never copied whole."""
     if x.nbytes <= _COMPARE_BYTES:
         # One run: the loop would add about a microsecond to each of the
-        # many small blocks of a conserved-quantity matrix.
+        # many small stacks of a conserved-quantity matrix.
         return x.tobytes() == y.tobytes()
+    x, y = x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1])
     rows = max(1, _COMPARE_BYTES // x[0].nbytes)
     return all(x[i:i + rows].tobytes() == y[i:i + rows].tobytes()
                for i in range(0, len(x), rows))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` of the Hermitian matrix, or stack of them, a:
+    every solve of the package's Hermitian blocks is made here."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
+
+
+def _hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigendecomposition of the Hermitian part (a + a†) / 2 of the
+    matrix, or stack of them, a.
+
+    When that part equals a bit for bit (an exactly Hermitian a does, unless
+    the sign of a zero or an overflowing sum sets them apart), a itself is
+    handed to ``numpy.linalg.eigh`` and the copy is dropped first, so a
+    large block is not held twice through the solve; the result is the
+    same either way. Equal values would not do: LAPACK's Householder step
+    takes the sign of a zero, so a zero of the other sign can change every
+    bit of the result.
+    """
+    sym = a + _adjoint(a)
+    sym /= 2
+    if _same_bits(sym, a):
+        sym = a
+    return _eigh(sym)
 
 
 def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
@@ -171,21 +234,17 @@ def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
     Parameters
     ----------
     m : array_like, square
-    indices : m's rows in the larger matrix it is a block of, ascending, as
-        ``_decompose_blocks`` passes them. That caller has already found the
-        larger matrix finite and within its bound of Hermitian, block by
-        block, so the finiteness and symmetry tests are skipped: a block's
-        asymmetry may be large against its own small norm and still within
-        the bound for the whole matrix.
+    indices : m's rows in the larger matrix it is a block of, ascending.
+        The caller has already found the larger matrix finite and within its
+        bound of Hermitian, so the finiteness and symmetry tests are
+        skipped: a block's asymmetry may be large against its own small norm
+        and still within the bound for the whole matrix. This is the block
+        by block route; a system's blocks are solved a stack at a time, to
+        the same bits (``_decompose_blocks``).
 
-    In either case the Hermitian part (m + m†) / 2 is what is decomposed.
-    When it equals m bit for bit (an exactly Hermitian m does, unless the
-    sign of a zero or an overflowing sum sets them apart), m itself (the
-    caller's own array, if it is complex128) is handed to
-    ``numpy.linalg.eigh`` and the copy is dropped first, so a large block
-    is not held twice through the solve; the result is the same either way.
-    Equal values would not do: LAPACK's Householder step takes the sign of
-    a zero, so a zero of the other sign can change every bit of the result.
+    In either case the Hermitian part (m + m†) / 2 is what is decomposed,
+    and m itself (the caller's own array, if it is complex128) when the two
+    hold the same bits.
 
     Raises
     ------
@@ -197,16 +256,10 @@ def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
     if indices is not None:
         a = np.asarray(m, dtype=complex)
     else:
-        a = _checked_blocks([_as_square(m)])[0]
+        a = _as_square(m)
+        _check_hermitian([a])
         indices = np.arange(a.shape[0])
-    sym = (a + a.conj().T) / 2
-    if _same_bits(sym, a):
-        sym = a
-    try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
-    return HermitianBlock(indices, vals, vecs)
+    return HermitianBlock(indices, *_hermitian_eigh(a))
 
 
 def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -242,18 +295,51 @@ def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _checked_blocks(matrices) -> tuple[np.ndarray, ...]:
-    """``matrices``, the finite diagonal blocks of a matrix a that is zero
-    outside them, once the symmetry bound ||a - a†||_F <= 1e-9 ||a||_F holds.
+def _checked_stacks(d: int, stacks) -> tuple[BlockStack, ...]:
+    """The diagonal blocks of a d x d matrix that is zero outside them, as
+    ``BlockStack``s, once they are found sound.
+
+    ``stacks`` are (indices, matrices) pairs of one block size each:
+    indices m x n integers, each row ascending, and matrices the m x n x n
+    stack of the blocks, or a lone block's n x n matrix, kept as given.
+    Each stack is checked to be finite, the index sets to partition
+    range(d), and the symmetry bound to hold summed over all blocks
+    (``_check_hermitian``). The blocks are numbered by their smallest index.
+    """
+    stacks = [(np.asarray(idx, dtype=np.intp), m) for idx, m in stacks]
+    for _, m in stacks:
+        if not np.isfinite(m).all():
+            raise ValueError("hamiltonian contains non-finite entries")
+    every = np.concatenate([np.empty(0, dtype=np.intp)] + [idx.ravel() for idx, _ in stacks])
+    if every.size and (every.min() < 0 or every.max() >= d):
+        raise ValueError(f"block indices must lie in range({d})")
+    counts = np.bincount(every, minlength=d)
+    if (counts != 1).any():
+        raise ValueError(
+            f"block indices must partition range({d}): "
+            f"{np.count_nonzero(counts == 0)} missing, "
+            f"{np.count_nonzero(counts > 1)} repeated"
+        )
+    _check_hermitian([m for _, m in stacks])
+    firsts = np.concatenate([idx[:, 0] for idx, _ in stacks])
+    numbers = np.empty(len(firsts), dtype=np.intp)
+    numbers[np.argsort(firsts)] = np.arange(len(firsts))
+    ends = np.cumsum([len(idx) for idx, _ in stacks])
+    return tuple(BlockStack(part, idx, m) for part, (idx, m)
+                 in zip(np.split(numbers, ends[:-1]), stacks))
+
+
+def _check_hermitian(matrices) -> None:
+    """Raise NotHermitian unless the symmetry bound ||a - a†||_F <= 1e-9
+    ||a||_F holds for the matrix a that is zero outside the diagonal blocks
+    ``matrices`` (finite matrices or stacks of them).
 
     a - a† is zero outside the blocks too, so the root sums of squares over
-    the blocks are the whole matrix's norms. Raises NotHermitian past the
-    bound. The squares overflow once entries pass about 1e154; the sums are
-    then taken again of the blocks divided by their largest entry, which
-    leaves the bound as it is. This is the one place that raises
-    NotHermitian.
+    the blocks are the whole matrix's norms. The squares overflow once
+    entries pass about 1e154; the sums are then taken again of the blocks
+    divided by their largest entry, which leaves the bound as it is. This is
+    the one place that raises NotHermitian.
     """
-    matrices = tuple(matrices)
     unit = 1.0
     with np.errstate(over="ignore"):
         dev, scale = _square_sums(matrices)
@@ -263,36 +349,61 @@ def _checked_blocks(matrices) -> tuple[np.ndarray, ...]:
     dev, scale = float(np.sqrt(dev)), float(np.sqrt(scale))
     if dev > 1e-9 * max(scale, _UNDERFLOW):
         raise NotHermitian(f"hamiltonian is not Hermitian (deviation {dev * unit:.3e})")
-    return matrices
 
 
 def _square_sums(matrices) -> tuple[float, float]:
     """The sums over ``matrices`` of ||s - s†||_F² and of ||s||_F²."""
     dev = scale = 0.0
     for s in matrices:
-        dev += np.linalg.norm(s - s.conj().T) ** 2
-        scale += np.linalg.norm(s) ** 2
+        asymmetry = s - _adjoint(s)
+        dev += np.vdot(asymmetry, asymmetry).real
+        scale += np.vdot(s, s).real
     return dev, scale
 
 
-def _dense_blocks(m: np.ndarray) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
-    """The coupled blocks of the square, finite matrix m: the index sets
-    ``_coupled_blocks`` finds and their matrices, checked by
-    ``_checked_blocks``. A matrix that is one block is its own one matrix,
+def _dense_stacks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The coupled blocks of the square, finite matrix m, the index sets
+    ``_coupled_blocks`` finds, cut out of m one stack per size, for
+    ``_checked_stacks``. A matrix that is one block is its own lone block,
     not a copy."""
     found = _coupled_blocks(m)
-    return found, _checked_blocks([m] if len(found) == 1
-                                  else [m[np.ix_(idx, idx)] for idx in found])
+    if len(found) == 1:
+        return [(found[0][None], m)]
+    sizes = np.array([len(idx) for idx in found])
+    stacks = []
+    for n in np.unique(sizes):
+        idx = np.array([found[k] for k in np.flatnonzero(sizes == n)])
+        stacks.append((idx, m[idx[:, :, None], idx[:, None, :]]))
+    return stacks
 
 
-def _decompose_blocks(found, matrices) -> tuple[HermitianBlock, ...]:
-    """Eigendecompose the blocks ``matrices``, checked by ``_checked_blocks``,
-    on the index sets ``found``.
+def _decompose_blocks(stacks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The eigenvalues (m x n) and eigenvectors (m x n x n) of each of the
+    ``BlockStack``s ``stacks``, checked by ``_checked_stacks``: one
+    ``numpy.linalg.eigh`` per stack, of its Hermitian part.
 
     Every block is finite and their summed asymmetry within the bound, so
-    each goes to ``hermitian_eigendecompose`` with its indices, unchecked.
+    none is tested again. ``eigh`` solves a stack one matrix at a time, so
+    each block gets the bits ``hermitian_eigendecompose`` gives it alone.
     """
-    return tuple(hermitian_eigendecompose(s, indices=idx) for idx, s in zip(found, matrices))
+    return tuple(_hermitian_eigh(stack.stack) for stack in stacks)
+
+
+def _in_block_order(stacks, per_stack) -> tuple:
+    """The items of ``per_stack``, one sequence of them per stack and one
+    item per block, reordered by the ``BlockStack``s' block numbers."""
+    out = [None] * sum(len(stack.numbers) for stack in stacks)
+    for stack, items in zip(stacks, per_stack):
+        for number, item in zip(stack.numbers.tolist(), items):
+            out[number] = item
+    return tuple(out)
+
+
+def _blocks_of(stacks, decomposed) -> tuple[HermitianBlock, ...]:
+    """Each block's ``HermitianBlock``, in block order, from ``stacks`` and
+    their ``_decompose_blocks``: views into the stacked results."""
+    return _in_block_order(stacks, [map(HermitianBlock, stack.indices, values, vectors)
+                                    for stack, (values, vectors) in zip(stacks, decomposed)])
 
 
 def _block_selection(groups, d: int, indices):
@@ -343,7 +454,9 @@ def unitary_exponential(h, t: float) -> np.ndarray:
 
     Returns Q diag(exp(-i E t)) Q† block by block, unitary up to rounding.
     """
-    return unitary_from_blocks(_decompose_blocks(*_dense_blocks(_as_square(h))), t)
+    a = _as_square(h)
+    stacks = _checked_stacks(len(a), _dense_stacks(a))
+    return unitary_from_blocks(_blocks_of(stacks, _decompose_blocks(stacks)), t)
 
 
 def _refined_left(a: np.ndarray, value: complex, left: np.ndarray) -> np.ndarray:

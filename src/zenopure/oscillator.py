@@ -318,32 +318,51 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
 
     H = big_omega a†a + omega b†b + i g (a†b - a b†) on the A-major product
     basis, with number operators built exactly as integer diagonals. H
-    conserves n_a + n_b, so it is built as one small matrix per total
-    excitation number, on that number's states (``_excitation_states``),
-    and handed to ``BipartiteSystem.from_blocks`` as H's coupled blocks; no
-    D x D array is formed. Each block equals the dense H restricted to its
-    indices, bit for bit. At g = 0 nothing couples two states, so each
-    state is handed over as a 1 x 1 block of its own: the blocks are those
-    the dense constructor finds at every g.
+    conserves n_a + n_b, so it is built as one small tridiagonal matrix per
+    total excitation number, on that number's states. The blocks of each
+    size form one m x n x n stack, all of them filled at once, and the
+    stacks are handed to the system's stack constructor; no D x D array is
+    formed. Each block equals the dense H restricted to
+    its indices, bit for bit. At g = 0 nothing couples two states, so the
+    states are handed over as one stack of 1 x 1 blocks: the blocks are
+    those the dense constructor finds at every g.
     """
     na, nb = p.n_max_a, p.n_max_b
     if p.g == 0:
         occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
         energies = p.big_omega * occ_a + p.omega * occ_b
-        return BipartiteSystem.from_blocks(na, nb, [([i], [[e]]) for i, e in enumerate(energies)])
-    blocks = []
-    for occ_a, occ_b in _excitation_states(na, nb):
-        n = len(occ_a)
-        h = np.zeros((n, n), dtype=complex)
-        h[np.diag_indices(n)] = p.big_omega * occ_a + p.omega * occ_b
-        # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
-        # the next state of the block; -i g a b† is its adjoint.
-        amp = 1j * p.g * (np.sqrt(occ_a[:-1] + 1.0) * np.sqrt(occ_b[:-1]))
-        step = np.arange(n - 1)
-        h[step + 1, step] = amp
-        h[step, step + 1] = amp.conj()
-        blocks.append((occ_a * nb + occ_b, h))
-    return BipartiteSystem.from_blocks(na, nb, blocks)
+        return BipartiteSystem._from_stacks(
+            na, nb, [(np.arange(na * nb)[:, None], energies.astype(complex)[:, None, None])])
+    # Block k holds the states with n_a + n_b = k, by ascending n_a, so by
+    # ascending composite index n_a * nb + n_b. The blocks are laid out one
+    # size after another, by ascending k within a size, in one buffer h of
+    # which each size's stack is a slice. Each state has its block's size
+    # n and start in h, and its place in its block.
+    k = np.arange(na + nb - 1)
+    first = np.maximum(0, k - nb + 1)
+    sizes = np.minimum(k, na - 1) - first + 1
+    k = np.argsort(sizes, kind="stable")
+    size = sizes[k]
+    n = np.repeat(size, size)
+    start = np.repeat(np.cumsum(size ** 2) - size ** 2, size)
+    place = np.arange(na * nb) - np.repeat(np.cumsum(size) - size, size)
+    occ_a = np.repeat(first[k], size) + place
+    occ_b = np.repeat(k, size) - occ_a
+    h = np.zeros(np.sum(size ** 2), dtype=complex)
+    h[start + place * (n + 1)] = p.big_omega * occ_a + p.omega * occ_b
+    # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
+    # the next state of the block; -i g a b† is its adjoint.
+    step = place < n - 1
+    amp = 1j * p.g * (np.sqrt(occ_a[step] + 1.0) * np.sqrt(occ_b[step]))
+    h[(start + (place + 1) * n + place)[step]] = amp
+    h[(start + place * n + place + 1)[step]] = amp.conj()
+    indices = occ_a * nb + occ_b
+    stacks = []
+    for n_k, count in zip(*np.unique(size, return_counts=True)):
+        i = np.searchsorted(n, n_k)
+        stacks.append((indices[i:i + count * n_k].reshape(count, n_k),
+                       h[start[i]:start[i] + count * n_k * n_k].reshape(count, n_k, n_k)))
+    return BipartiteSystem._from_stacks(na, nb, stacks)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> np.ndarray:

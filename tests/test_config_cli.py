@@ -361,6 +361,26 @@ def test_parse_reports_the_first_of_two_faults(text, message):
     assert str(caught.value) == message
 
 
+HUGE = "9" * 400  # an integer TOML reads exactly and no float holds
+
+
+@pytest.mark.parametrize("text, message", [
+    (FIG1_CONFIG.replace("g = 0.2", f"g = {HUGE}"),
+     "key 'g' holds an integer too large for a float"),
+    (EXPLICIT_H.replace("probe_re = [1, 0]", f"probe_re = [1, -{HUGE}]"),
+     "key 'probe_re' holds an integer too large for a float"),
+    (EXPLICIT_H + f"probe_im = [{HUGE}, 0]\n",
+     "key 'probe_im' holds an integer too large for a float"),
+], ids=["scalar", "probe_re_item", "probe_im_item"])
+def test_integer_too_large_for_a_float_is_refused(tmp_path, capsys, text, message):
+    # Refused as a config error naming the key, exit 1, not an OverflowError.
+    with pytest.raises(ConfigError) as caught:
+        parse_config(text)
+    assert str(caught.value) == message
+    code, out, err = run_cli(capsys, "spectrum", "--config", write(tmp_path, text))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.cfg"))
@@ -1158,26 +1178,33 @@ def count_calls(monkeypatch, name, home=linalg):
     return results
 
 
-@pytest.mark.parametrize("command, config, exit_code, blocks, spectrum_solves, builds", [
-    ("figure1", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 1),
-    ("spectrum", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 1, 1),
-    ("purify", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 1),
-    ("compare", ZENO_SCAN_CONFIG, 3, 2 * 12 - 1, 1, 1),
-    ("zeno", ZENO_SCAN_CONFIG, 0, 2 * 12 - 1, 0, 0),
-    ("compare", NO_GAP_CONFIG, 3, 12 * 12, 0, 1),
+#: (blocks, size) of each stack of H at cutoff 12: the coupled model has one
+#: block per total excitation number, two of each size but the largest;
+#: uncoupled modes split into 144 single states.
+COUPLED_STACKS = [(2, n) for n in range(1, 12)] + [(1, 12)]
+SINGLE_STATES = [(12 * 12, 1)]
+
+
+@pytest.mark.parametrize("command, config, exit_code, stacks, spectrum_solves, builds", [
+    ("figure1", ZENO_SCAN_CONFIG, 0, COUPLED_STACKS, 0, 1),
+    ("spectrum", ZENO_SCAN_CONFIG, 0, COUPLED_STACKS, 1, 1),
+    ("purify", ZENO_SCAN_CONFIG, 0, COUPLED_STACKS, 0, 1),
+    ("compare", ZENO_SCAN_CONFIG, 3, COUPLED_STACKS, 1, 1),
+    ("zeno", ZENO_SCAN_CONFIG, 0, COUPLED_STACKS, 0, 0),
+    ("compare", NO_GAP_CONFIG, 3, SINGLE_STATES, 0, 1),
 ], ids=["figure1", "spectrum", "purify", "compare", "zeno", "compare-no-gap"])
 def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, command, config,
-                                             exit_code, blocks, spectrum_solves, builds):
+                                             exit_code, stacks, spectrum_solves, builds):
     # No search of H's pattern, since the oscillator model builds H as its
-    # coupled blocks, one eigendecomposition per block, at most one V, formed
-    # by build_projected_propagator, and at most one solve of V's spectrum,
-    # whatever the command. The coupled model has one block per total
-    # excitation number; uncoupled modes split into single states and give V
-    # no magnitude gap, so compare skips its geometric check, the one reader
-    # of V's spectrum it has, and solves none. At cutoff 12 compare breaches
-    # on truncation, which it reports with exit code 3.
+    # coupled blocks, one eigendecomposition per block size, each solving
+    # every block of that size once, at most one V, formed by
+    # build_projected_propagator, and at most one solve of V's spectrum,
+    # whatever the command. Uncoupled modes give V no magnitude gap, so
+    # compare skips its geometric check, the one reader of V's spectrum it
+    # has, and solves none. At cutoff 12 compare breaches on truncation,
+    # which it reports with exit code 3.
     searches = count_calls(monkeypatch, "_coupled_blocks")
-    decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
+    decompositions = count_calls(monkeypatch, "_eigh")
     solves = count_calls(monkeypatch, "top_k_eigenpairs")
     propagators = count_calls(monkeypatch, "build_projected_propagator", home=engine)
     argv = [command, "--cutoff", "12"]
@@ -1186,7 +1213,7 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
     code, _, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert searches == []
-    assert len(decompositions) == blocks
+    assert sorted(values.shape for values, _ in decompositions) == sorted(stacks)
     assert len(solves) == spectrum_solves
     assert len(propagators) == builds
 
@@ -1194,14 +1221,15 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
 @pytest.mark.parametrize("command", ["purify", "zeno"])
 def test_explicit_hamiltonian_is_searched_once(tmp_path, capsys, monkeypatch, command):
     # A dense H read from a file is searched once for its coupled blocks,
-    # the six single states of a decoupled H, and each is decomposed once.
+    # the six single states of a decoupled H, and they are decomposed
+    # together, one stack of six 1 x 1 blocks.
     cfg = decoupled_hamiltonian_config(tmp_path)
     searches = count_calls(monkeypatch, "_coupled_blocks")
-    decompositions = count_calls(monkeypatch, "hermitian_eigendecompose")
+    decompositions = count_calls(monkeypatch, "_eigh")
     code, _, _ = run_cli(capsys, command, "--config", cfg)
     assert code == 0
     assert len(searches) == 1 and len(searches[0]) == 6
-    assert len(decompositions) == 6
+    assert [values.shape for values, _ in decompositions] == [(6, 1)]
 
 
 def test_purify_solves_tied_propagator_once(tmp_path, capsys, monkeypatch):
@@ -1430,10 +1458,13 @@ def test_readme_session_runs_and_quick_start_rows_are_figure1s(capsys):
 
 
 def test_import_does_not_load_scipy():
+    # Nor tomllib, which only a config file needs, nor concurrent.futures,
+    # which only a zeno scan with more than one job needs.
     for statement in ("import zenopure", "from zenopure import *"):
         out = run_fresh(["-c", f"import sys; {statement}; "
-                                "print('scipy' in sys.modules, 'tomllib' in sys.modules)"])
-        assert out.strip() == "False False", statement
+                                "print('scipy' in sys.modules, 'tomllib' in sys.modules, "
+                                "'concurrent.futures' in sys.modules)"])
+        assert out.strip() == "False False False", statement
 
 
 @pytest.mark.parametrize("command", ["figure1", "spectrum", "purify", "compare", "zeno"])

@@ -139,25 +139,29 @@ def test_bipartite_system_refuses_non_finite_before_block_search(monkeypatch, ba
 
 def test_bipartite_system_decomposes_each_block_once(monkeypatch):
     seen = []
-    original = linalg.hermitian_eigendecompose
+    original = linalg._eigh
 
-    def counted(m, *args, **kwargs):
-        seen.append(m)
-        return original(m, *args, **kwargs)
+    def counted(a):
+        seen.append(a)
+        return original(a)
 
-    monkeypatch.setattr(linalg, "hermitian_eigendecompose", counted)
+    monkeypatch.setattr(linalg, "_eigh", counted)
     rng = np.random.default_rng(8)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     whole = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=a + a.conj().T)
     assert not seen  # nothing is decomposed before it is needed
     assert whole.blocks is whole.blocks
-    # A one-block H is handed over as it stands, not copied.
-    assert len(seen) == 1 and seen[0] is whole.hamiltonian
+    # A one-block H is handed over as it stands, a view, not a copy.
+    assert len(seen) == 1 and seen[0].shape == (1, 6, 6)
+    assert np.shares_memory(seen[0], whole.hamiltonian)
     seen.clear()
     split = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=np.diag(np.arange(6.0)))
     build_projected_propagator(split, ProbeState(np.array([1.0, 0.0])), 0.5)
     build_projected_propagator(split, ProbeState(np.array([0.0, 1.0])), 1.5)
-    assert len(seen) == len(split.block_indices) == 6
+    # Six single states, one size: one solve of their stack, each state once.
+    assert len(split.block_indices) == 6
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], np.arange(6.0).reshape(6, 1, 1))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -197,6 +201,108 @@ def test_from_blocks_matches_dense_constructor(seed):
         np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
         np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
     np.testing.assert_array_equal(built.hamiltonian, h)
+
+
+def per_block_route(system, phi):
+    """Each block's decomposition, W and the energies, one block at a time:
+    ``hermitian_eigendecompose`` of each block on its indices, and each
+    block's columns of W summed by their own ``np.add.at``, in block order."""
+    conj_phi = phi.amplitudes.conj()
+    blocks, columns = [], []
+    for idx, m in zip(system.block_indices, system.block_matrices):
+        block = linalg.hermitian_eigendecompose(m, indices=idx)
+        probe_index, b_index = np.divmod(idx, system.dim_b)
+        w = np.zeros((system.dim_b, len(idx)), dtype=complex)
+        np.add.at(w, b_index, conj_phi[probe_index, None] * block.eigenvectors)
+        blocks.append(block)
+        columns.append(w)
+    return blocks, np.hstack(columns), np.concatenate([b.eigenvalues for b in blocks])
+
+
+def assert_same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    assert (ours.shape, ours.dtype) == (theirs.shape, theirs.dtype)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def assert_stacks_match_block_route(system, phi, tau):
+    blocks, rows, energies = per_block_route(system, phi)
+    assert len(system.blocks) == len(blocks)
+    for ours, theirs in zip(system.blocks, blocks):
+        assert_same_bits(ours.indices, theirs.indices)
+        assert_same_bits(ours.eigenvalues, theirs.eigenvalues)
+        assert_same_bits(ours.eigenvectors, theirs.eigenvectors)
+    contraction = engine.contract_probe(system, phi)
+    assert_same_bits(contraction.rows, rows)
+    assert_same_bits(contraction.energies, energies)
+    v = (rows * np.exp(-1j * energies * tau)) @ rows.conj().T
+    assert_same_bits(contraction.propagator(tau).matrix, v)
+
+
+def random_probe(rng, dim_a):
+    phi = rng.standard_normal(dim_a) + 1j * rng.standard_normal(dim_a)
+    return ProbeState(phi / np.linalg.norm(phi))
+
+
+@given(seed=st.integers(0, 10_000), nudged=st.booleans(), dense=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacks_match_the_block_by_block_route(seed, nudged, dense):
+    # Blocks of sizes 1-3 only, so that most sizes repeat, at random indices,
+    # so that a block often holds one b index twice (two a's, one b). A
+    # nudged H carries an asymmetry inside the bound on one block, so that
+    # block is decomposed as its Hermitian part. The stacked solves, W, the
+    # energies and V must equal the block-by-block route bit for bit, built
+    # from the blocks or searched for in the dense H.
+    rng = np.random.default_rng(seed)
+    dim_a, dim_b = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+    d = dim_a * dim_b
+    perm = rng.permutation(d)
+    cuts = np.cumsum(rng.integers(1, 4, size=d))
+    parts = [np.sort(idx) for idx in np.split(perm, cuts[cuts < d])]
+    h = np.zeros((d, d), dtype=complex)
+    for idx in parts:
+        a = rng.standard_normal((len(idx),) * 2) + 1j * rng.standard_normal((len(idx),) * 2)
+        h[np.ix_(idx, idx)] = a + a.conj().T
+    if nudged:
+        idx = parts[int(rng.integers(len(parts)))]
+        h[idx[0], idx[-1]] += 1e-12j * np.linalg.norm(h)
+        assert not np.array_equal(h, h.conj().T)
+    assert np.linalg.norm(h - h.conj().T) <= 1e-9 * np.linalg.norm(h)
+    system = (BipartiteSystem(dim_a, dim_b, h) if dense
+              else BipartiteSystem.from_blocks(dim_a, dim_b, [(idx, h[np.ix_(idx, idx)])
+                                                              for idx in parts]))
+    assert [list(idx) for idx in system.block_indices] == sorted(map(list, parts))
+    assert_stacks_match_block_route(system, random_probe(rng, dim_a), rng.uniform(0.1, 3.0))
+
+
+def test_stacks_match_the_block_by_block_route_on_chosen_systems():
+    rng = np.random.default_rng(17)
+    # One block of two same-b states (b = 1 under a = 0 and a = 1) beside
+    # another of the same size: the b row of W sums two contributions.
+    h = np.zeros((6, 6), dtype=complex)
+    h[np.ix_([1, 4], [1, 4])] = [[1.0, 0.3j], [-0.3j, 2.0]]
+    h[np.ix_([0, 2], [0, 2])] = [[0.5, 0.2], [0.2, -1.0]]
+    h[np.ix_([3, 5], [3, 5])] = [[0.1, 0.7], [0.7, 0.9]]
+    system = BipartiteSystem(2, 3, h)
+    assert [len(idx) for idx in system.block_indices] == [2, 2, 2]
+    assert_stacks_match_block_route(system, random_probe(rng, 2), 0.8)
+    # A lone large block, fully coupled, whose share of W is summed a range
+    # of columns at a time (engine._ADD_AT_ENTRIES).
+    a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    assert 300 * 300 > engine._ADD_AT_ENTRIES
+    system = BipartiteSystem(3, 100, a + a.conj().T)
+    assert len(system.block_indices) == 1
+    assert_stacks_match_block_route(system, random_probe(rng, 3), 1.1)
+    # The uncoupled oscillator: 144 single states, one stack of them.
+    p = OscillatorParams(1.0, 1.0, 0.0, 0.5, beta=1.0, tau=1.0, n_max_a=12, n_max_b=12)
+    system = build_hamiltonian(p)
+    assert len(system.stacks) == 1 and len(system.block_indices) == 144
+    assert_stacks_match_block_route(system, ProbeState(coherent_state(0.5, 12)), p.tau)
+    # The coupled oscillator: sizes 1-11 twice each and 12 once.
+    system = build_hamiltonian(OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=1.0,
+                                                n_max_a=12, n_max_b=12))
+    assert len(system.stacks) == 12 and len(system.block_indices) == 23
+    assert_stacks_match_block_route(system, ProbeState(coherent_state(0.5, 12)), 1.0)
 
 
 def test_from_blocks_keeps_each_given_block_whole():
