@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -421,7 +422,11 @@ def _add_options(sub: argparse.ArgumentParser, command: str) -> None:
                               "values below 2 run the scan serially")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each subcommand
+    binds its ``cmd_*`` function when the parser is first built, and every
+    later call reuses it, since parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="zenopure",
         description="Spectra and trajectories of repeated-confirmation purification.",

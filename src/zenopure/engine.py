@@ -383,6 +383,13 @@ class ProbeContraction:
         return ProjectedPropagator(matrix=v, tau=float(tau))
 
 
+def _check_probe(sys: BipartiteSystem, phi: ProbeState) -> None:
+    if phi.dim != sys.dim_a:
+        raise ValueError(
+            f"probe dimension {phi.dim} does not match dim_a {sys.dim_a}"
+        )
+
+
 def contract_probe(sys: BipartiteSystem, phi: ProbeState) -> ProbeContraction:
     """Contract the eigenvectors of H with the probe state, a stack at a time.
 
@@ -394,10 +401,7 @@ def contract_probe(sys: BipartiteSystem, phi: ProbeState) -> ProbeContraction:
     in the order a block-by-block sum takes them, so that W holds the same
     bits.
     """
-    if phi.dim != sys.dim_a:
-        raise ValueError(
-            f"probe dimension {phi.dim} does not match dim_a {sys.dim_a}"
-        )
+    _check_probe(sys, phi)
     conj_phi = phi.amplitudes.conj()
     d = sys.dim_a * sys.dim_b
     sizes = _in_block_order(sys.stacks, [[stack.indices.shape[1]] * len(stack.numbers)
@@ -564,18 +568,21 @@ def zeno_limit_scan(sys: BipartiteSystem, phi: ProbeState, rho0: DensityMatrix,
     limit).
 
     Points are independent; ``jobs`` > 1 evaluates them in a thread pool.
-    Results are returned in input order regardless of scheduling.
+    Results are returned in input order regardless of scheduling. A probe,
+    and then a state, of the wrong dimension is refused before H is
+    decomposed.
     """
     if total_time <= 0:
         raise ValueError("total_time must be positive")
     n_list = [int(n) for n in n_values]
     if not n_list or any(n < 1 for n in n_list):
         raise ValueError("n_values must be a nonempty sequence of integers >= 1")
-    contraction = contract_probe(sys, phi)
+    _check_probe(sys, phi)
     if rho0.dim != sys.dim_b:
         raise ValueError(
             f"state dimension {rho0.dim} does not match dim_b {sys.dim_b}"
         )
+    contraction = contract_probe(sys, phi)
     eye = np.eye(sys.dim_b)
 
     def point(n: int) -> ZenoScanPoint:

@@ -26,6 +26,20 @@ block is stacked as a view of its matrix, never a copy.
 ``engine.BipartiteSystem`` checks its stacks when it is built, keeps them,
 and decomposes them on first use.
 
+A block that is exactly zero outside its three diagonals, as every block
+of size 2 or less is and every excitation block of the oscillator is, is
+solved through its real symmetric twin T = D† B D (``_hermitian_eigh``),
+where B is the block's Hermitian part and D the unitary diagonal whose
+entries are the running product of the phases of B's sub-diagonal: T
+holds B's diagonal and the moduli of its sub-diagonal, one real ``eigh``
+gives T's eigenvalues, which are B's, and eigenvectors Q', and the
+eigenvectors of B come back as D Q'. A builder that knows its blocks
+tridiagonal hands their twins over with them (``BlockStack.twin``), made
+with the same arithmetic, so they are not tested; any other stack is
+tested when it is solved, a dense block by its first row and column
+alone, and every block that is not tridiagonal goes to the complex
+``eigh``. Every solve, real or complex, is made in ``_eigh``.
+
 The eigenpair routines take the whole spectrum from one LAPACK ``eig``
 (``numpy.linalg.eig``; importing scipy would cost every fresh process far
 more than the solve), rank it by magnitude, and take each left vector from
@@ -134,11 +148,20 @@ class BlockStack:
     blocks themselves; a lone block kept as it was given is its n x n
     matrix instead. ``numbers`` are the blocks' places among all blocks of
     the matrix, which are ordered by their smallest index.
+
+    ``twin`` is None, or the blocks' real symmetric twins made by their
+    builder, who knows them tridiagonal and exactly Hermitian: the
+    m x n x n float64 stack T = D† B D of the blocks B and the m x n
+    diagonals of the unitary diagonal D (see ``_hermitian_eigh``), so that
+    the blocks' eigenvectors are D Q' for the eigenvectors Q' of T. Without
+    it a stack is tested for the band, and its twins made, when it is
+    solved.
     """
 
     numbers: np.ndarray
     indices: np.ndarray
     matrices: np.ndarray
+    twin: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def stack(self) -> np.ndarray:
@@ -203,18 +226,98 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence(f"Hermitian eigendecomposition failed: {exc}") from exc
 
 
-def _hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tridiagonal(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack a (or the matrix a, as a 0-d array)
+    is exactly zero outside its three diagonals. Every matrix of size 2 or
+    less is; a dense one is refused by its first row and column alone."""
+    n = a.shape[-1]
+    if n <= 2:
+        return np.ones(a.shape[:-2], dtype=bool)
+    stack = a.reshape(-1, n, n)
+    banded = ~(stack[:, 0, 2:].any(axis=1) | stack[:, 2:, 0].any(axis=1))
+    if banded.any():
+        rest = stack[banded]
+        inside = sum(np.count_nonzero(rest.diagonal(k, 1, 2), axis=1) for k in (-1, 0, 1))
+        banded[banded] = np.count_nonzero(rest, axis=(1, 2)) == inside
+    return banded.reshape(a.shape[:-2])
+
+
+def _twin_links(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real twin's off-diagonal |sub| and the unit phases sub / |sub|,
+    1 where sub = 0, entry by entry, of the sub-diagonal entries ``sub`` of
+    Hermitian tridiagonal matrices. A non-finite entry, which the checks
+    refuse before any solve, gets a nan phase without a warning."""
+    off = np.abs(sub)
+    links = np.ones_like(sub)
+    with np.errstate(invalid="ignore"):
+        np.divide(sub, off, out=links, where=off != 0)
+    return off, links
+
+
+def _running_phases(links: np.ndarray) -> np.ndarray:
+    """The diagonals of D, one row per row of ``links`` (... x (n - 1)):
+    the running products 1, u_0, u_0 u_1, ... of the row's phases."""
+    ones = np.ones(links.shape[:-1] + (1,), dtype=complex)
+    return np.cumprod(np.concatenate([ones, links], axis=-1), axis=-1)
+
+
+def _tridiagonal_twin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real symmetric twin T = D† ((a + a†) / 2) D of each matrix of the
+    stack a, exactly zero outside its three diagonals, and D's diagonals.
+
+    D is the running product of the unit phases of the Hermitian part's
+    sub-diagonal, so T holds that part's real diagonal and the moduli of
+    its sub-diagonal, on both off-diagonals, and is m x n x n float64.
+    """
+    diagonal = a.diagonal(0, -2, -1)
+    diagonal = ((diagonal + diagonal.conj()) / 2).real
+    sub = (a.diagonal(-1, -2, -1) + a.diagonal(1, -2, -1).conj()) / 2
+    off, links = _twin_links(sub)
+    n = a.shape[-1]
+    twin = np.zeros(a.shape)
+    steps = np.arange(n)
+    twin[..., steps, steps] = diagonal
+    twin[..., steps[1:], steps[:-1]] = twin[..., steps[:-1], steps[1:]] = off
+    return twin, _running_phases(links)
+
+
+def _hermitian_eigh(a: np.ndarray, twin=None) -> tuple[np.ndarray, np.ndarray]:
     """The eigendecomposition of the Hermitian part (a + a†) / 2 of the
     matrix, or stack of them, a.
 
-    When that part equals a bit for bit (an exactly Hermitian a does, unless
-    the sign of a zero or an overflowing sum sets them apart), a itself is
-    handed to ``numpy.linalg.eigh`` and the copy is dropped first, so a
-    large block is not held twice through the solve; the result is the
-    same either way. Equal values would not do: LAPACK's Householder step
-    takes the sign of a zero, so a zero of the other sign can change every
-    bit of the result.
+    A tridiagonal a (``_tridiagonal``; every block of size 2 or less) is
+    solved through its real symmetric twin T = D† ((a + a†) / 2) D
+    (``_tridiagonal_twin``): one real ``numpy.linalg.eigh`` gives T's
+    eigenvalues, which are the Hermitian part's, and eigenvectors Q', and
+    D Q' are the Hermitian part's eigenvectors. ``twin``, when given, is
+    that (T, D's diagonals) pair made by the caller with the same
+    arithmetic, and a is then not tested.
+
+    Any other a is handed to the complex ``numpy.linalg.eigh``. When its
+    Hermitian part equals it bit for bit (an exactly Hermitian a does,
+    unless the sign of a zero or an overflowing sum sets them apart), a
+    itself is handed over and the copy is dropped first, so a large block
+    is not held twice through the solve; the result is the same either
+    way. Equal values would not do: LAPACK's Householder step takes the
+    sign of a zero, so a zero of the other sign can change every bit of
+    the result.
     """
+    if twin is None:
+        banded = _tridiagonal(a)
+        if banded.all():
+            twin = _tridiagonal_twin(a)
+        elif banded.any():
+            # Twins for the banded blocks of the stack, the complex route for
+            # the rest: each block gets the bits it gets alone.
+            values = np.empty(a.shape[:-1])
+            vectors = np.empty_like(a)
+            for part in (banded, ~banded):
+                values[part], vectors[part] = _hermitian_eigh(a[part])
+            return values, vectors
+    if twin is not None:
+        t, phases = twin
+        values, vectors = _eigh(t)
+        return values, phases[..., :, None] * vectors
     sym = a + _adjoint(a)
     sym /= 2
     if _same_bits(sym, a):
@@ -242,9 +345,12 @@ def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
         by block route; a system's blocks are solved a stack at a time, to
         the same bits (``_decompose_blocks``).
 
-    In either case the Hermitian part (m + m†) / 2 is what is decomposed,
-    and m itself (the caller's own array, if it is complex128) when the two
-    hold the same bits.
+    In either case the Hermitian part (m + m†) / 2 is what is decomposed:
+    through its real symmetric twin when m is tridiagonal, as every m of
+    size 2 or less is, with the eigenvectors returned as D Q' (see
+    ``_hermitian_eigh``), and otherwise by the complex ``eigh``, which is
+    handed m itself (the caller's own array, if it is complex128) when the
+    two hold the same bits.
 
     Raises
     ------
@@ -301,12 +407,14 @@ def _checked_stacks(d: int, stacks) -> tuple[BlockStack, ...]:
 
     ``stacks`` are (indices, matrices) pairs of one block size each:
     indices m x n integers, each row ascending, and matrices the m x n x n
-    stack of the blocks, or a lone block's n x n matrix, kept as given.
+    stack of the blocks, or a lone block's n x n matrix, kept as given. A
+    third item, the stack's ``BlockStack.twin``, is kept as given too.
     Each stack is checked to be finite, the index sets to partition
     range(d), and the symmetry bound to hold summed over all blocks
     (``_check_hermitian``). The blocks are numbered by their smallest index.
     """
-    stacks = [(np.asarray(idx, dtype=np.intp), m) for idx, m in stacks]
+    twins = [twin for _, _, *twin in stacks]
+    stacks = [(np.asarray(idx, dtype=np.intp), m) for idx, m, *_ in stacks]
     for _, m in stacks:
         if not np.isfinite(m).all():
             raise ValueError("hamiltonian contains non-finite entries")
@@ -325,8 +433,8 @@ def _checked_stacks(d: int, stacks) -> tuple[BlockStack, ...]:
     numbers = np.empty(len(firsts), dtype=np.intp)
     numbers[np.argsort(firsts)] = np.arange(len(firsts))
     ends = np.cumsum([len(idx) for idx, _ in stacks])
-    return tuple(BlockStack(part, idx, m) for part, (idx, m)
-                 in zip(np.split(numbers, ends[:-1]), stacks))
+    return tuple(BlockStack(part, idx, m, *twin) for part, (idx, m), twin
+                 in zip(np.split(numbers, ends[:-1]), stacks, twins))
 
 
 def _check_hermitian(matrices) -> None:
@@ -380,13 +488,14 @@ def _dense_stacks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _decompose_blocks(stacks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The eigenvalues (m x n) and eigenvectors (m x n x n) of each of the
     ``BlockStack``s ``stacks``, checked by ``_checked_stacks``: one
-    ``numpy.linalg.eigh`` per stack, of its Hermitian part.
+    ``numpy.linalg.eigh`` per stack, of its Hermitian part, or of its real
+    twins when the blocks are tridiagonal (``_hermitian_eigh``).
 
     Every block is finite and their summed asymmetry within the bound, so
     none is tested again. ``eigh`` solves a stack one matrix at a time, so
     each block gets the bits ``hermitian_eigendecompose`` gives it alone.
     """
-    return tuple(_hermitian_eigh(stack.stack) for stack in stacks)
+    return tuple(_hermitian_eigh(stack.stack, stack.twin) for stack in stacks)
 
 
 def _in_block_order(stacks, per_stack) -> tuple:

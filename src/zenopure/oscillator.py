@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import BipartiteSystem, DensityMatrix
-from .linalg import _block_selection
+from .linalg import _block_selection, _running_phases, _twin_links
 
 __all__ = [
     "DegenerateInterval",
@@ -326,18 +326,32 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     its indices, bit for bit. At g = 0 nothing couples two states, so the
     states are handed over as one stack of 1 x 1 blocks: the blocks are
     those the dense constructor finds at every g.
+
+    Every block is tridiagonal, and the same pass fills each block's real
+    symmetric twin T = D† H D into a second, real buffer (``linalg``'s
+    ``_hermitian_eigh``): H's diagonal, and |i g sqrt(n_a + 1) sqrt(n_b)|
+    on both off-diagonals, with D's diagonal the running product of the
+    phases of H's sub-diagonal down the block, formed with the arithmetic
+    that ``linalg`` uses on a block it tests, so the system solves H
+    through its twins without testing a band, to the bits a dense H
+    gets, and takes H's eigenvectors as D Q' from the twins' Q'. The
+    closed forms below never use this route: the one eigensolve among them,
+    ``closed_form_rho``'s D(zeta), calls the complex ``numpy.linalg.eigh``
+    itself, so the oracles stay independent of the engine's solver.
     """
     na, nb = p.n_max_a, p.n_max_b
     if p.g == 0:
         occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
-        energies = p.big_omega * occ_a + p.omega * occ_b
+        energies = (p.big_omega * occ_a + p.omega * occ_b)[:, None, None]
+        twin = (energies, np.ones((na * nb, 1), dtype=complex))
         return BipartiteSystem._from_stacks(
-            na, nb, [(np.arange(na * nb)[:, None], energies.astype(complex)[:, None, None])])
+            na, nb, [(np.arange(na * nb)[:, None], energies.astype(complex), twin)])
     # Block k holds the states with n_a + n_b = k, by ascending n_a, so by
     # ascending composite index n_a * nb + n_b. The blocks are laid out one
     # size after another, by ascending k within a size, in one buffer h of
-    # which each size's stack is a slice. Each state has its block's size
-    # n and start in h, and its place in its block.
+    # which each size's stack is a slice, and their twins likewise in t.
+    # Each state has its block's size n and start in h, and its place in
+    # its block.
     k = np.arange(na + nb - 1)
     first = np.maximum(0, k - nb + 1)
     sizes = np.minimum(k, na - 1) - first + 1
@@ -349,19 +363,34 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     occ_a = np.repeat(first[k], size) + place
     occ_b = np.repeat(k, size) - occ_a
     h = np.zeros(np.sum(size ** 2), dtype=complex)
-    h[start + place * (n + 1)] = p.big_omega * occ_a + p.omega * occ_b
+    t = np.zeros(len(h))
+    diagonal = start + place * (n + 1)
+    h[diagonal] = t[diagonal] = p.big_omega * occ_a + p.omega * occ_b
     # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
     # the next state of the block; -i g a b† is its adjoint.
     step = place < n - 1
     amp = 1j * p.g * (np.sqrt(occ_a[step] + 1.0) * np.sqrt(occ_b[step]))
-    h[(start + (place + 1) * n + place)[step]] = amp
-    h[(start + place * n + place + 1)[step]] = amp.conj()
+    lower = (start + (place + 1) * n + place)[step]
+    upper = (start + place * n + place + 1)[step]
+    h[lower] = amp
+    h[upper] = amp.conj()
+    off, links = _twin_links(amp)
+    t[lower] = t[upper] = off
+    # One row of link phases per block, padded with ones past its end, so
+    # that one running product down the rows gives every state its phase.
+    block = np.repeat(np.arange(len(size)), size)
+    rows = np.ones((len(size), size[-1] - 1), dtype=complex)
+    rows[block[step], place[step]] = links
+    phases = _running_phases(rows)[block, place]
     indices = occ_a * nb + occ_b
     stacks = []
     for n_k, count in zip(*np.unique(size, return_counts=True)):
         i = np.searchsorted(n, n_k)
-        stacks.append((indices[i:i + count * n_k].reshape(count, n_k),
-                       h[start[i]:start[i] + count * n_k * n_k].reshape(count, n_k, n_k)))
+        states = slice(i, i + count * n_k)
+        entries = slice(start[i], start[i] + count * n_k * n_k)
+        stacks.append((indices[states].reshape(count, n_k),
+                       h[entries].reshape(count, n_k, n_k),
+                       (t[entries].reshape(count, n_k, n_k), phases[states].reshape(count, n_k))))
     return BipartiteSystem._from_stacks(na, nb, stacks)
 
 
@@ -434,7 +463,9 @@ def closed_form_rho(p: OscillatorParams, n: int) -> ThermalTrajectoryClosedForm:
     # D(zeta) = exp(zeta b† - zeta* b) on the truncated space, as exp(-iG) of
     # the Hermitian G = i (zeta b† - zeta* b). The normal-ordered form would
     # hold the infinite model's entries instead, and its boundary weight
-    # would no longer show a cutoff that is too small.
+    # would no longer show a cutoff that is too small. G is tridiagonal, but
+    # is solved by the complex eigh itself, not by linalg's real twins, so
+    # that the oracle shares no solver route with the engine.
     w, q = np.linalg.eigh(1j * (zeta * b.conj().T - np.conj(zeta) * b))
     disp = (q * np.exp(-1j * w)) @ q.conj().T
     gauss = (boltz * c.abs_exp_c ** (2 * n)) ** np.arange(nb, dtype=float)

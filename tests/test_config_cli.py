@@ -1218,6 +1218,50 @@ def test_each_command_checks_and_solves_once(tmp_path, capsys, monkeypatch, comm
     assert len(propagators) == builds
 
 
+def test_consecutive_commands_print_what_fresh_ones_print(tmp_path, capsys):
+    # main builds its parser once per process: each command run after
+    # others in one process prints what it prints in a process of its own.
+    cfg = write(tmp_path, ZENO_SCAN_CONFIG)
+    runs = [["purify", "--config", cfg, "--cutoff", "12", "--steps", "3"],
+            ["spectrum", "--config", cfg, "--cutoff", "12"],
+            ["zeno", "--config", cfg, "--cutoff", "12"],
+            ["figure1", "--cutoff", "12", "--steps", "2"]]
+    consecutive = [run_cli(capsys, *argv) for argv in runs]
+    for argv, (code, out, err) in zip(runs, consecutive):
+        assert (code, err) == (0, "")
+        assert out == run_fresh(["-m", "zenopure.cli", *argv])
+
+
+@pytest.mark.parametrize("command", ["figure1", "spectrum", "purify", "compare", "zeno"])
+def test_oscillator_blocks_are_solved_real_and_a_dense_block_complex(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    # Every excitation block of the oscillator is tridiagonal, and each
+    # command solves every stack of them through their real twins: each
+    # solve returns float64 eigenvectors, which only a float64 stack gets.
+    decompositions = count_calls(monkeypatch, "_eigh")
+    argv = [command, "--cutoff", "12"]
+    if command != "figure1":
+        argv += ["--config", write(tmp_path, ZENO_SCAN_CONFIG)]
+    run_cli(capsys, *argv)
+    assert decompositions
+    assert all(vectors.dtype == np.float64 and vectors.ndim == 3
+               for _, vectors in decompositions)
+    # A fully coupled explicit H is one dense block: it still reaches the
+    # solver complex, as a view of H, not a copy.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    save_matrix_file(str(tmp_path / "dense.mat"), 2, 3, a + a.conj().T)
+    cfg = write(tmp_path, '[model]\nkind = "explicit"\nhamiltonian_file = "dense.mat"\n'
+                          "probe_re = [1, 0]\ntau = 0.5\n", "dense.cfg")
+    seen = []
+    counted = linalg._eigh
+    monkeypatch.setattr(linalg, "_eigh", lambda m: seen.append(m) or counted(m))
+    code, _, _ = run_cli(capsys, "spectrum", "--config", cfg)
+    assert code == 0
+    assert len(seen) == 1 and seen[0].shape == (1, 6, 6) and seen[0].dtype == complex
+    assert not seen[0].flags.owndata
+
+
 @pytest.mark.parametrize("command", ["purify", "zeno"])
 def test_explicit_hamiltonian_is_searched_once(tmp_path, capsys, monkeypatch, command):
     # A dense H read from a file is searched once for its coupled blocks,

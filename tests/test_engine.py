@@ -881,6 +881,20 @@ def test_zeno_scan_jobs_equivalence():
         assert a.unitarity_defect == b.unitarity_defect
 
 
+def test_zeno_scan_refuses_a_state_before_decomposing_h(monkeypatch):
+    # A state of the wrong dimension is refused with the same message, and
+    # before any block of H reaches the eigensolver.
+    seen = []
+    original = linalg._eigh
+    monkeypatch.setattr(linalg, "_eigh", lambda a: seen.append(a) or original(a))
+    sys_ = build_hamiltonian(REFERENCE)
+    phi = ProbeState(coherent_state(REFERENCE.alpha, REFERENCE.n_max_a))
+    with pytest.raises(ValueError) as info:
+        zeno_limit_scan(sys_, phi, DensityMatrix(np.eye(2) / 2), 1.0, [1])
+    assert str(info.value) == f"state dimension 2 does not match dim_b {sys_.dim_b}"
+    assert seen == []
+
+
 def test_zeno_scan_validation():
     sys_, phi, _, rho0 = reference_setup()
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zenopure import linalg
 from zenopure.engine import BipartiteSystem
 from zenopure.linalg import (
     DEFAULT_TOL,
@@ -187,7 +188,10 @@ def _hermitian_case(case: str) -> np.ndarray:
         # n - 2, so that the large case differs in its last run alone.
         m[n - 2, n - 2] += 1e-13j
     if case == "signed_zero":
-        m = np.array([[1.0, complex(0.0, -1.0)], [complex(-0.0, 1.0), 2.0]])
+        # Coupled past its band, so that it is not solved through a real twin.
+        m = np.array([[1.0, complex(0.0, -1.0), 0.5],
+                      [complex(-0.0, 1.0), 2.0, 0.25j],
+                      [0.5, -0.25j, 3.0]])
     return m
 
 
@@ -496,3 +500,75 @@ def test_dominant_eigenvalue_matches_charpoly_roots(seed):
     assert np.min(np.abs(roots - pair.value)) <= 1e-7
     # and it really is the largest magnitude
     assert abs(pair.value) >= np.max(np.abs(roots)) - 1e-7
+
+
+def _tridiagonal_stack(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """m Hermitian tridiagonal n x n blocks whose sub-diagonal entries are
+    drawn from every kind: a complex number of random phase, an exact
+    zero, a negative or positive real, and a pure imaginary."""
+    stack = np.zeros((m, n, n), dtype=complex)
+    steps = np.arange(n)
+    stack[:, steps, steps] = rng.standard_normal((m, n))
+    size = rng.standard_normal((m, n - 1))
+    kinds = rng.integers(0, 5, size=(m, n - 1))
+    sub = np.choose(kinds, [size * np.exp(2j * np.pi * rng.uniform(size=size.shape)),
+                            np.zeros_like(size), -abs(size), abs(size), 1j * size])
+    stack[:, steps[1:], steps[:-1]] = sub
+    stack[:, steps[:-1], steps[1:]] = sub.conj()
+    return stack
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 4),
+       nudged=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_tridiagonal_blocks_solve_through_real_twins(seed, n, m, nudged):
+    # A stack of Hermitian tridiagonal blocks is solved by one real eigh of
+    # their twins, and D Q' must be their Hermitian parts' eigenvectors. A
+    # nudged stack carries an asymmetry inside the 1e-9 bound in one block,
+    # on its lower sub-diagonal (on its diagonal when n = 1), so that only
+    # a twin of the Hermitian part, not of the lower triangle, passes.
+    rng = np.random.default_rng(seed)
+    stack = _tridiagonal_stack(rng, m, n)
+    if nudged:
+        k, j = int(rng.integers(m)), int(rng.integers(max(n - 1, 1)))
+        scale = np.linalg.norm(stack[k])
+        if n == 1:
+            stack[k, 0, 0] += 1e-10j * scale
+        else:
+            stack[k, j + 1, j] += 1e-10 * scale * np.exp(2j * np.pi * rng.uniform())
+        assert 0 < np.linalg.norm(stack[k] - stack[k].conj().T) <= 1e-9 * scale
+    seen = []
+    real_eigh = linalg._eigh
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_eigh", lambda a: seen.append(a.dtype) or real_eigh(a))
+        values, vectors = linalg._hermitian_eigh(stack)
+    assert seen == [np.float64]
+    assert vectors.dtype == complex
+    sym = (stack + stack.conj().swapaxes(1, 2)) / 2
+    for h, w, q in zip(sym, values, vectors):
+        norm = max(np.linalg.norm(h, 2), 1e-300)
+        assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-13 * norm
+        assert np.linalg.norm(h @ q - q * w) <= 1e-13 * norm
+        assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= 1e-13
+
+
+def test_non_tridiagonal_blocks_keep_the_complex_route():
+    # A block coupled past its band, though not in its first row or column,
+    # is solved as it was before twins: it keeps the bits of eigh of its
+    # Hermitian part, alone and in a stack beside a tridiagonal block, which
+    # is solved through its twin to the bits it gets alone.
+    rng = np.random.default_rng(5)
+    banded = _tridiagonal_stack(rng, 1, 5)[0]
+    coupled = _tridiagonal_stack(rng, 1, 5)[0]
+    coupled[3, 1], coupled[1, 3] = 0.4 - 0.3j, 0.4 + 0.3j
+    coupled[2, 2] += 1e-13j  # within the bound, so its Hermitian part is a copy
+    sym = (coupled + coupled.conj().T) / 2
+    route = np.linalg.eigh(sym)
+    alone = hermitian_eigendecompose(coupled)
+    assert _bits(alone.eigenvalues) == _bits(route.eigenvalues)
+    assert _bits(alone.eigenvectors) == _bits(route.eigenvectors)
+    values, vectors = linalg._hermitian_eigh(np.array([banded, coupled, banded]))
+    for k, block in enumerate((banded, coupled, banded)):
+        one = hermitian_eigendecompose(block)
+        assert _bits(values[k]) == _bits(one.eigenvalues)
+        assert _bits(vectors[k]) == _bits(one.eigenvectors)
