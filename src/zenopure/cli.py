@@ -49,7 +49,6 @@ from .config import (
 )
 from . import engine
 from . import oscillator as osc
-from .linalg import unitary_from_blocks
 
 DEFAULT_EPSILON = 1e-6
 COMPARE_TOLERANCES = {
@@ -336,7 +335,7 @@ def _compare_rows(model: _Model, coeffs: osc.ClosedFormCoefficients, horizon: in
     block_a = min(FACTORIZATION_BLOCK + 1, params.n_max_a)
     block_b = min(FACTORIZATION_BLOCK + 1, params.n_max_b)
     idx = [a * params.n_max_b + b for a in range(block_a) for b in range(block_b)]
-    u_direct = unitary_from_blocks(model.system.blocks, params.tau, indices=idx)
+    u_direct = model.system.unitary(params.tau, indices=idx)
     u_product = osc.factorized_propagator(params, indices=idx)
     yield ("factorization_interior_max_dev", float(np.abs(u_direct - u_product).max()),
            "factorization")

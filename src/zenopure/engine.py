@@ -18,13 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    HermitianBlock,
     TopKResult,
-    _blocks_of,
     _checked_stacks,
     _decompose_blocks,
     _dense_stacks,
-    _in_block_order,
+    _unitary,
     top_k_eigenpairs,
 )
 
@@ -84,22 +82,18 @@ class BipartiteSystem:
 
     A system is built from the dense H, ``BipartiteSystem(dim_a, dim_b,
     hamiltonian)``, whose nonzero pattern ``linalg._coupled_blocks``
-    searches once for the coupled blocks (its connected components), or
-    from blocks the caller already knows, ``BipartiteSystem.from_blocks``,
-    which takes them as they are given and never forms a D x D array.
-    Either way the blocks are grouped by size into ``stacks``
-    (``linalg.BlockStack``: each size's m x n index sets, each ascending,
-    and its m x n x n matrices), and the one stack constructor,
-    ``_from_stacks``, checks them once, when the system is built:
+    searches once for the coupled blocks (its connected components), or by
+    a builder that knows its blocks (``oscillator.build_hamiltonian``)
+    through ``_from_stacks``, which never forms a D x D array. Either way
+    the blocks are held by size as ``stacks`` (``linalg.BlockStack``), the
+    system's only form of them, and checked once, when the system is built:
     finiteness, that the index sets partition the basis, and the symmetry
     bound ||H - H†||_F <= 1e-9 ||H||_F summed over them, raising
-    ``linalg.NotHermitian`` past it. The system owns those stacks:
-    ``blocks`` eigendecomposes them on first use, one ``numpy.linalg.eigh``
-    per stack, and every propagator of the system is built from that one
-    decomposition. A one-block H is kept as given, not copied.
+    ``linalg.NotHermitian`` past it. The stacks are eigendecomposed on
+    first use, one ``numpy.linalg.eigh`` per stack, and V
+    (``contract_probe``) and exp(-iHt) (``unitary``) are both built from
+    that one decomposition. A one-block H is stacked as a view, not a copy.
 
-    The per-block views ``block_indices`` and ``block_matrices`` (and
-    ``blocks``) list the blocks ordered by their smallest index.
     ``hamiltonian`` is the dense H. Given to the constructor, it is that
     matrix; a block-built system assembles it from its stacks only when it
     is first read. Systems are immutable.
@@ -124,53 +118,14 @@ class BipartiteSystem:
 
         ``stacks`` are (indices, matrices) pairs, one per block size n: the
         m x n integer index sets, each row ascending, and the m x n x n
-        complex stack of H on them, or a lone block's n x n matrix, which is
-        kept as given. They are checked as ``linalg._checked_stacks`` says.
+        complex stack of H on them, kept as given, and optionally their
+        twins. They are checked as ``linalg._checked_stacks`` says.
         """
         if dim_a < 1 or dim_b < 1:
             raise ValueError("dimensions must be positive")
         system = cls.__new__(cls)
         system._own_stacks(dim_a, dim_b, stacks)
         return system
-
-    @classmethod
-    def from_blocks(cls, dim_a: int, dim_b: int, blocks) -> BipartiteSystem:
-        """The system whose H holds each of ``blocks`` and is zero elsewhere,
-        with those blocks as its coupled blocks.
-
-        ``blocks`` are (indices, matrix) pairs: the index sets partition
-        range(dim_a * dim_b), and each matrix is H on its indices, rows and
-        columns in the order the indices are given. Each block's shape is
-        checked, then finiteness, the partition and the symmetry bound, with
-        the messages of the dense constructor. A block is not searched or
-        split, even where its own pattern falls apart; its indices are
-        sorted ascending (its matrix reordered with them), an empty block
-        is dropped, and the blocks are stacked by size. A block alone in
-        its size and given in that order already is kept as given, not
-        copied.
-        """
-        if dim_a < 1 or dim_b < 1:
-            raise ValueError("dimensions must be positive")
-        sizes = {}
-        for number, (idx, m) in enumerate(blocks):
-            idx = np.asarray(idx)
-            m = np.asarray(m, dtype=complex)
-            # np.asarray([]) is float64: an empty block passes whatever its dtype.
-            if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-                raise ValueError(f"block {number} indices must be a 1-d integer sequence")
-            if m.shape != (len(idx), len(idx)):
-                raise ValueError(
-                    f"hamiltonian block {number} must be {len(idx)}x{len(idx)}, got {m.shape}"
-                )
-            if (idx[1:] < idx[:-1]).any():
-                order = np.argsort(idx)
-                idx, m = idx[order], m[np.ix_(order, order)]
-            if len(idx):
-                sizes.setdefault(len(idx), []).append((idx, m))
-        stacks = [(parts[0][0][None], parts[0][1]) if len(parts) == 1
-                  else (np.array([idx for idx, _ in parts]), np.array([m for _, m in parts]))
-                  for parts in sizes.values()]
-        return cls._from_stacks(dim_a, dim_b, stacks)
 
     def _own_stacks(self, dim_a: int, dim_b: int, stacks) -> None:
         vars(self).update(dim_a=dim_a, dim_b=dim_b,
@@ -182,18 +137,6 @@ class BipartiteSystem:
     def __repr__(self) -> str:
         return (f"BipartiteSystem(dim_a={self.dim_a}, dim_b={self.dim_b}, "
                 f"blocks={sum(len(stack.numbers) for stack in self.stacks)})")
-
-    @cached_property
-    def block_indices(self) -> tuple[np.ndarray, ...]:
-        """Each coupled block's indices, ascending, as views into the stacks."""
-        return _in_block_order(self.stacks, [stack.indices for stack in self.stacks])
-
-    @cached_property
-    def block_matrices(self) -> tuple[np.ndarray, ...]:
-        """Each coupled block's matrix, as views into the stacks; a lone
-        block kept as given is that matrix itself."""
-        return _in_block_order(self.stacks, [stack.matrices if stack.matrices.ndim == 3
-                                             else [stack.matrices] for stack in self.stacks])
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
@@ -209,11 +152,11 @@ class BipartiteSystem:
         """Each stack's eigenvalues and eigenvectors, solved on first use."""
         return _decompose_blocks(self.stacks)
 
-    @cached_property
-    def blocks(self) -> tuple[HermitianBlock, ...]:
-        """The eigendecomposition of H, one coupled block at a time, as views
-        into the stacked solutions."""
-        return _blocks_of(self.stacks, self._decomposed)
+    def unitary(self, t: float, indices=None) -> np.ndarray:
+        """exp(-iHt) from the system's one decomposition of H, or with
+        ``indices`` only its entries u[np.ix_(indices, indices)], bit for bit
+        as the whole matrix holds them, without forming the whole matrix."""
+        return _unitary(self.stacks, self._decomposed, t, indices)
 
 
 @dataclass(frozen=True)
@@ -393,7 +336,8 @@ def _check_probe(sys: BipartiteSystem, phi: ProbeState) -> None:
 def contract_probe(sys: BipartiteSystem, phi: ProbeState) -> ProbeContraction:
     """Contract the eigenvectors of H with the probe state, a stack at a time.
 
-    The eigenvectors are those of ``sys.blocks``. A block eigenvector q on
+    The eigenvectors are those of the system's decomposed ``stacks``, and W's
+    columns follow their block ``numbers``. A block eigenvector q on
     composite indices a*dim_b + i contributes conj(phi_a) q[a*dim_b + i] to
     entry i of its column of W. Each block's columns follow those of the
     blocks before it, and each stack's contributions are summed into W by
@@ -404,9 +348,10 @@ def contract_probe(sys: BipartiteSystem, phi: ProbeState) -> ProbeContraction:
     _check_probe(sys, phi)
     conj_phi = phi.amplitudes.conj()
     d = sys.dim_a * sys.dim_b
-    sizes = _in_block_order(sys.stacks, [[stack.indices.shape[1]] * len(stack.numbers)
-                                         for stack in sys.stacks])
-    starts = np.cumsum((0,) + sizes[:-1])
+    sizes = np.empty(sum(len(stack.numbers) for stack in sys.stacks), dtype=np.intp)
+    for stack in sys.stacks:
+        sizes[stack.numbers] = stack.indices.shape[1]
+    starts = np.cumsum(sizes) - sizes
     rows = np.zeros(sys.dim_b * d, dtype=complex)
     energies = np.empty(d)
     for stack, (values, vectors) in zip(sys.stacks, sys._decomposed):

@@ -6,22 +6,22 @@ propagators produce. Arrays are dense complex128, but a Hermitian matrix
 is never diagonalized whole when it need not be: the connected components
 of its nonzero pattern are independent diagonal blocks, each
 eigendecomposed on its own, and exp(-iHt) is assembled from them block by
-block. A conserved quantity such as a total excitation number therefore
-turns one D x D problem into many small ones; a fully coupled matrix is a
-single block and is decomposed as it stands.
+block (``_unitary``). A conserved quantity such as a total excitation
+number therefore turns one D x D problem into many small ones; a fully
+coupled matrix is a single block and is decomposed as it stands.
 
 The blocks are held as one stack per block size (``BlockStack``): an
 m x n x n array of the m blocks of size n and their m x n index sets. A
 dense matrix is searched once for its blocks (``_coupled_blocks``) and
-they are cut out of it a stack at a time (``_dense_stacks``); blocks a
-caller already knows are stacked as they are. Either way
+they are cut out of it a stack at a time (``_dense_stacks``); a builder
+that knows its blocks hands its stacks over as they are. Either way
 ``_checked_stacks`` tests the stacks once: finiteness, that their index
 sets partition the matrix, and the symmetry bound ||m - m†||_F <= 1e-9
 ||m||_F summed over them (``_check_hermitian``, the one place that raises
 NotHermitian). They are then decomposed without testing them again, with
 one ``numpy.linalg.eigh`` per stack (``_decompose_blocks``), which returns
-for each block the bits that a call on that block alone returns. A lone
-block is stacked as a view of its matrix, never a copy.
+for each block the bits that a call on that block alone returns. A matrix
+that is one block is stacked as a view of it, never a copy.
 ``unitary_exponential`` does both for a raw matrix;
 ``engine.BipartiteSystem`` checks its stacks when it is built, keeps them,
 and decomposes them on first use.
@@ -69,7 +69,6 @@ __all__ = [
     "EigenPair",
     "TopKResult",
     "hermitian_eigendecompose",
-    "unitary_from_blocks",
     "unitary_exponential",
     "top_k_eigenpairs",
 ]
@@ -145,9 +144,9 @@ class BlockStack:
 
     Row k of ``indices`` (m x n) holds block k's rows (and columns) of the
     whole matrix, ascending, and ``matrices`` is the m x n x n stack of the
-    blocks themselves; a lone block kept as it was given is its n x n
-    matrix instead. ``numbers`` are the blocks' places among all blocks of
-    the matrix, which are ordered by their smallest index.
+    blocks themselves. ``numbers`` are the blocks' places among all blocks
+    of the matrix, which are ordered by their smallest index: the order of
+    the columns of ``engine.contract_probe``'s W.
 
     ``twin`` is None, or the blocks' real symmetric twins made by their
     builder, who knows them tridiagonal and exactly Hermitian: the
@@ -162,11 +161,6 @@ class BlockStack:
     indices: np.ndarray
     matrices: np.ndarray
     twin: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def stack(self) -> np.ndarray:
-        """``matrices`` as an m x n x n array: a view of a lone block."""
-        return self.matrices if self.matrices.ndim == 3 else self.matrices[None]
 
 
 @dataclass(frozen=True)
@@ -325,27 +319,17 @@ def _hermitian_eigh(a: np.ndarray, twin=None) -> tuple[np.ndarray, np.ndarray]:
     return _eigh(sym)
 
 
-def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
+def hermitian_eigendecompose(m) -> HermitianBlock:
     """Eigendecompose a Hermitian matrix into ascending eigenvalues.
 
-    The result is the matrix as one block, on the indices arange(n), or on
-    ``indices`` when m is a block of a larger matrix.
+    The result is the matrix as one block, on the indices arange(n). A
+    system's blocks are solved a stack at a time instead
+    (``_decompose_blocks``), each to the bits this gives it alone.
 
     m must be finite and pass the symmetry check ||m - m†||_F <= 1e-9
     ||m||_F; anything beyond truncation-arithmetic noise is rejected.
 
-    Parameters
-    ----------
-    m : array_like, square
-    indices : m's rows in the larger matrix it is a block of, ascending.
-        The caller has already found the larger matrix finite and within its
-        bound of Hermitian, so the finiteness and symmetry tests are
-        skipped: a block's asymmetry may be large against its own small norm
-        and still within the bound for the whole matrix. This is the block
-        by block route; a system's blocks are solved a stack at a time, to
-        the same bits (``_decompose_blocks``).
-
-    In either case the Hermitian part (m + m†) / 2 is what is decomposed:
+    The Hermitian part (m + m†) / 2 is what is decomposed:
     through its real symmetric twin when m is tridiagonal, as every m of
     size 2 or less is, with the eigenvectors returned as D Q' (see
     ``_hermitian_eigh``), and otherwise by the complex ``eigh``, which is
@@ -359,13 +343,9 @@ def hermitian_eigendecompose(m, *, indices=None) -> HermitianBlock:
     NoConvergence
         if the underlying iteration fails to converge.
     """
-    if indices is not None:
-        a = np.asarray(m, dtype=complex)
-    else:
-        a = _as_square(m)
-        _check_hermitian([a])
-        indices = np.arange(a.shape[0])
-    return HermitianBlock(indices, *_hermitian_eigh(a))
+    a = _as_square(m)
+    _check_hermitian([a])
+    return HermitianBlock(np.arange(a.shape[0]), *_hermitian_eigh(a))
 
 
 def _coupled_blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -407,8 +387,8 @@ def _checked_stacks(d: int, stacks) -> tuple[BlockStack, ...]:
 
     ``stacks`` are (indices, matrices) pairs of one block size each:
     indices m x n integers, each row ascending, and matrices the m x n x n
-    stack of the blocks, or a lone block's n x n matrix, kept as given. A
-    third item, the stack's ``BlockStack.twin``, is kept as given too.
+    stack of the blocks, kept as given. A third item, the stack's
+    ``BlockStack.twin``, is kept as given too.
     Each stack is checked to be finite, the index sets to partition
     range(d), and the symmetry bound to hold summed over all blocks
     (``_check_hermitian``). The blocks are numbered by their smallest index.
@@ -472,11 +452,11 @@ def _square_sums(matrices) -> tuple[float, float]:
 def _dense_stacks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The coupled blocks of the square, finite matrix m, the index sets
     ``_coupled_blocks`` finds, cut out of m one stack per size, for
-    ``_checked_stacks``. A matrix that is one block is its own lone block,
-    not a copy."""
+    ``_checked_stacks``. A matrix that is one block is stacked as a view of
+    it, not a copy."""
     found = _coupled_blocks(m)
     if len(found) == 1:
-        return [(found[0][None], m)]
+        return [(found[0][None], m[None])]
     sizes = np.array([len(idx) for idx in found])
     stacks = []
     for n in np.unique(sizes):
@@ -495,24 +475,7 @@ def _decompose_blocks(stacks) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     none is tested again. ``eigh`` solves a stack one matrix at a time, so
     each block gets the bits ``hermitian_eigendecompose`` gives it alone.
     """
-    return tuple(_hermitian_eigh(stack.stack, stack.twin) for stack in stacks)
-
-
-def _in_block_order(stacks, per_stack) -> tuple:
-    """The items of ``per_stack``, one sequence of them per stack and one
-    item per block, reordered by the ``BlockStack``s' block numbers."""
-    out = [None] * sum(len(stack.numbers) for stack in stacks)
-    for stack, items in zip(stacks, per_stack):
-        for number, item in zip(stack.numbers.tolist(), items):
-            out[number] = item
-    return tuple(out)
-
-
-def _blocks_of(stacks, decomposed) -> tuple[HermitianBlock, ...]:
-    """Each block's ``HermitianBlock``, in block order, from ``stacks`` and
-    their ``_decompose_blocks``: views into the stacked results."""
-    return _in_block_order(stacks, [map(HermitianBlock, stack.indices, values, vectors)
-                                    for stack, (values, vectors) in zip(stacks, decomposed)])
+    return tuple(_hermitian_eigh(stack.matrices, stack.twin) for stack in stacks)
 
 
 def _block_selection(groups, d: int, indices):
@@ -537,9 +500,9 @@ def _block_selection(groups, d: int, indices):
         yield int(number), rows, place[indices[rows]]
 
 
-def unitary_from_blocks(blocks: tuple[HermitianBlock, ...], t: float,
-                        indices=None) -> np.ndarray:
-    """exp(-i h t) assembled from the eigendecomposed coupled blocks of h.
+def _unitary(stacks, decomposed, t: float, indices=None) -> np.ndarray:
+    """exp(-i h t) for the matrix h that is zero outside the blocks of the
+    ``BlockStack``s ``stacks``, from their ``_decompose_blocks``.
 
     Each block contributes Q diag(exp(-i E t)) Q† on its own indices; every
     entry between two different blocks is zero. With ``indices`` only
@@ -547,13 +510,15 @@ def unitary_from_blocks(blocks: tuple[HermitianBlock, ...], t: float,
     matrix holds it, without forming the whole matrix; blocks holding none
     of the indices are skipped.
     """
-    d = sum(len(b.indices) for b in blocks)
+    groups = [idx for stack in stacks for idx in stack.indices]
+    solved = [block for values, vectors in decomposed for block in zip(values, vectors)]
+    d = sum(len(idx) for idx in groups)
     if indices is None:
         indices = np.arange(d)
     u = np.zeros((len(indices), len(indices)), dtype=complex)
-    for number, rows, local in _block_selection([b.indices for b in blocks], d, indices):
-        q = blocks[number].eigenvectors
-        phases = np.exp(-1j * blocks[number].eigenvalues * float(t))
+    for number, rows, local in _block_selection(groups, d, indices):
+        values, q = solved[number]
+        phases = np.exp(-1j * values * float(t))
         u[np.ix_(rows, rows)] = ((q * phases) @ q.conj().T)[np.ix_(local, local)]
     return u
 
@@ -565,7 +530,7 @@ def unitary_exponential(h, t: float) -> np.ndarray:
     """
     a = _as_square(h)
     stacks = _checked_stacks(len(a), _dense_stacks(a))
-    return unitary_from_blocks(_blocks_of(stacks, _decompose_blocks(stacks)), t)
+    return _unitary(stacks, _decompose_blocks(stacks), t)
 
 
 def _refined_left(a: np.ndarray, value: complex, left: np.ndarray) -> np.ndarray:

@@ -342,7 +342,8 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     na, nb = p.n_max_a, p.n_max_b
     if p.g == 0:
         occ_a, occ_b = np.divmod(np.arange(na * nb), nb)
-        energies = (p.big_omega * occ_a + p.omega * occ_b)[:, None, None]
+        with np.errstate(invalid="ignore"):  # an infinite frequency: refused when checked
+            energies = (p.big_omega * occ_a + p.omega * occ_b)[:, None, None]
         twin = (energies, np.ones((na * nb, 1), dtype=complex))
         return BipartiteSystem._from_stacks(
             na, nb, [(np.arange(na * nb)[:, None], energies.astype(complex), twin)])
@@ -365,11 +366,13 @@ def build_hamiltonian(p: OscillatorParams) -> BipartiteSystem:
     h = np.zeros(np.sum(size ** 2), dtype=complex)
     t = np.zeros(len(h))
     diagonal = start + place * (n + 1)
-    h[diagonal] = t[diagonal] = p.big_omega * occ_a + p.omega * occ_b
     # i g a†b takes |n_a, n_b> to sqrt(n_a + 1) sqrt(n_b) |n_a + 1, n_b - 1>,
-    # the next state of the block; -i g a b† is its adjoint.
+    # the next state of the block; -i g a b† is its adjoint. An infinite
+    # parameter's inf * 0 = nan is refused by the system's finiteness check.
     step = place < n - 1
-    amp = 1j * p.g * (np.sqrt(occ_a[step] + 1.0) * np.sqrt(occ_b[step]))
+    with np.errstate(invalid="ignore"):
+        h[diagonal] = t[diagonal] = p.big_omega * occ_a + p.omega * occ_b
+        amp = 1j * p.g * (np.sqrt(occ_a[step] + 1.0) * np.sqrt(occ_b[step]))
     lower = (start + (place + 1) * n + place)[step]
     upper = (start + place * n + place + 1)[step]
     h[lower] = amp
@@ -426,7 +429,8 @@ def thermal_state(beta: float, omega: float, cutoff: int) -> DensityMatrix:
         raise ValueError("beta * omega must be positive")
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    weights = np.exp(-beta * omega * np.arange(cutoff, dtype=float))
+    with np.errstate(invalid="ignore"):  # beta * omega = inf: refused as non-finite
+        weights = np.exp(-beta * omega * np.arange(cutoff, dtype=float))
     return DensityMatrix(np.diag(weights / weights.sum()).astype(complex))
 
 

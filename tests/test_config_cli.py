@@ -764,9 +764,9 @@ def test_three_routes_give_one_v(tmp_path, capsys, big_omega, g, alpha):
         f"tau = {p.tau!r}\n"), "explicit_h.cfg")
     cfg = load_config(explicit_h)
     loaded = engine.BipartiteSystem(*load_matrix_file(str(tmp_path / "h.mat")))
-    assert len(loaded.block_indices) == len(system.block_indices) == 2 * 12 - 1
-    for found, built in zip(loaded.block_indices, system.block_indices):
-        np.testing.assert_array_equal(found, built)
+    found, built = ([idx.tolist() for stack in s.stacks for idx in stack.indices]
+                    for s in (loaded, system))
+    assert len(found) == 2 * 12 - 1 and sorted(found) == sorted(built)
     v_loaded = engine.build_projected_propagator(loaded, engine.ProbeState(np.array(cfg.probe)),
                                                  cfg.tau)
     np.testing.assert_array_equal(v_loaded.matrix, v.matrix)
@@ -1033,6 +1033,10 @@ REFUSED_CONFIGS = {
     # g^2 and (big_omega - omega)^2 overflow a float inside delta.
     "g_huge": ZENO_SCAN_CONFIG.replace("g = 0.2", "g = 1e300"),
     "big_omega_huge": ZENO_SCAN_CONFIG.replace("big_omega = 1", "big_omega = 1e300"),
+    # inf * 0 = nan inside H's entries or the thermal weights.
+    "g_inf": FIG1_CONFIG.replace("g = 0.2", "g = inf"),
+    "big_omega_inf": FIG1_CONFIG.replace("big_omega = 1", "big_omega = inf"),
+    "beta_inf": FIG1_CONFIG.replace("beta = 1", "beta = inf"),
     # Both read h.mat, a 2x2 (D = 4) H that is not Hermitian.
     "not_hermitian": EXPLICIT_H,
     # The doubles near (big_omega+omega)*tau/2 are 7.5e-9 apart, past the
@@ -1088,6 +1092,9 @@ FRESH_PROCESS_REFUSALS = {
     "alpha_nan": "probe amplitudes contain non-finite entries",
     "g_huge": DELTA_OVERFLOW.format("1e+300", "0.0"),
     "big_omega_huge": DELTA_OVERFLOW.format("0.2", "1e+300"),
+    "g_inf": "hamiltonian contains non-finite entries",
+    "big_omega_inf": "hamiltonian contains non-finite entries",
+    "beta_inf": "state contains non-finite entries",
 }
 
 
@@ -1095,6 +1102,8 @@ FRESH_PROCESS_REFUSALS = {
     ("compare", "alpha_nan"),
     *[(command, config) for config in ("g_huge", "big_omega_huge")
       for command in ("spectrum", "purify", "compare", "zeno")],
+    *[(command, config) for config in ("g_inf", "big_omega_inf", "beta_inf")
+      for command in ("spectrum", "compare")],
 ])
 def test_refused_value_prints_no_traceback(tmp_path, command, config):
     cfg = write(tmp_path, REFUSED_CONFIGS[config])

@@ -119,9 +119,10 @@ def test_bipartite_system_block_symmetry_check_matches_dense(seed, factor, one_s
         assert "not Hermitian (deviation" in str(exc)
         return
     assert dense_accepts
-    np.testing.assert_array_equal(np.sort(np.concatenate(sys_.block_indices)), np.arange(d))
+    found = found_blocks(sys_)
+    np.testing.assert_array_equal(np.sort(np.concatenate(found)), np.arange(d))
     if one_sided:
-        where = {int(x): n for n, idx in enumerate(sys_.block_indices) for x in idx}
+        where = {x: n for n, idx in enumerate(found) for x in idx}
         assert where[int(np.flatnonzero(perm == i)[0])] == where[int(np.flatnonzero(perm == j)[0])]
 
 
@@ -150,7 +151,7 @@ def test_bipartite_system_decomposes_each_block_once(monkeypatch):
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     whole = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=a + a.conj().T)
     assert not seen  # nothing is decomposed before it is needed
-    assert whole.blocks is whole.blocks
+    assert whole._decomposed is whole._decomposed
     # A one-block H is handed over as it stands, a view, not a copy.
     assert len(seen) == 1 and seen[0].shape == (1, 6, 6)
     assert np.shares_memory(seen[0], whole.hamiltonian)
@@ -159,64 +160,40 @@ def test_bipartite_system_decomposes_each_block_once(monkeypatch):
     build_projected_propagator(split, ProbeState(np.array([1.0, 0.0])), 0.5)
     build_projected_propagator(split, ProbeState(np.array([0.0, 1.0])), 1.5)
     # Six single states, one size: one solve of their stack, each state once.
-    assert len(split.block_indices) == 6
+    assert len(found_blocks(split)) == 6
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], np.arange(6.0).reshape(6, 1, 1))
 
 
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_from_blocks_matches_dense_constructor(seed):
-    # A permuted block-diagonal H, some of its blocks diagonal, handed over
-    # as its coupled blocks in shuffled order with shuffled indices: the
-    # block constructor must sort them into the blocks the dense constructor
-    # finds, in the same order, with the same matrices and decompositions.
-    rng = np.random.default_rng(seed)
-    dim_a, dim_b = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-    d = dim_a * dim_b
-    cuts = np.sort(rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False))
-    h = np.zeros((d, d), dtype=complex)
-    coupled = []
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
-        a = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
-        a = (a + a.conj().T) / 2
-        if rng.uniform() < 0.3:
-            h[lo:hi, lo:hi] = np.diag(np.diag(a))
-            coupled += [[i] for i in range(lo, hi)]
-        else:
-            h[lo:hi, lo:hi] = a
-            coupled.append(list(range(lo, hi)))
-    perm = rng.permutation(d)
-    h = h[np.ix_(perm, perm)]
-    parts = [rng.permutation(np.flatnonzero(np.isin(perm, idx))) for idx in coupled]
-    parts = [parts[i] for i in rng.permutation(len(parts))]
-    built = BipartiteSystem.from_blocks(dim_a, dim_b, [(idx, h[np.ix_(idx, idx)]) for idx in parts])
-    dense = BipartiteSystem(dim_a=dim_a, dim_b=dim_b, hamiltonian=h)
-    assert len(built.block_indices) == len(dense.block_indices)
-    for ours, theirs in zip(built.block_indices, dense.block_indices):
-        np.testing.assert_array_equal(ours, theirs)
-    for ours, theirs in zip(built.block_matrices, dense.block_matrices):
-        np.testing.assert_array_equal(ours, theirs)
-    for ours, theirs in zip(built.blocks, dense.blocks):
-        np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
-        np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
-    np.testing.assert_array_equal(built.hamiltonian, h)
+def block_order(system):
+    """(stack position, row) of each coupled block of the system, ordered by
+    the stacks' block numbers."""
+    found = {number: (s, k) for s, stack in enumerate(system.stacks)
+             for k, number in enumerate(stack.numbers.tolist())}
+    return [found[number] for number in range(len(found))]
+
+
+def found_blocks(system):
+    """Each coupled block's indices, in block order."""
+    return [system.stacks[s].indices[k].tolist() for s, k in block_order(system)]
 
 
 def per_block_route(system, phi):
-    """Each block's decomposition, W and the energies, one block at a time:
-    ``hermitian_eigendecompose`` of each block on its indices, and each
-    block's columns of W summed by their own ``np.add.at``, in block order."""
+    """Each block's indices and decomposition, W and the energies, one block
+    at a time in block order: ``linalg._hermitian_eigh`` of each block
+    alone, never of its stack or its builder's twin, and each block's
+    columns of W summed by their own ``np.add.at``."""
     conj_phi = phi.amplitudes.conj()
     blocks, columns = [], []
-    for idx, m in zip(system.block_indices, system.block_matrices):
-        block = linalg.hermitian_eigendecompose(m, indices=idx)
+    for s, k in block_order(system):
+        idx = system.stacks[s].indices[k]
+        values, vectors = linalg._hermitian_eigh(system.stacks[s].matrices[k])
         probe_index, b_index = np.divmod(idx, system.dim_b)
         w = np.zeros((system.dim_b, len(idx)), dtype=complex)
-        np.add.at(w, b_index, conj_phi[probe_index, None] * block.eigenvectors)
-        blocks.append(block)
+        np.add.at(w, b_index, conj_phi[probe_index, None] * vectors)
+        blocks.append((idx, values, vectors))
         columns.append(w)
-    return blocks, np.hstack(columns), np.concatenate([b.eigenvalues for b in blocks])
+    return blocks, np.hstack(columns), np.concatenate([values for _, values, _ in blocks])
 
 
 def assert_same_bits(ours, theirs):
@@ -227,11 +204,10 @@ def assert_same_bits(ours, theirs):
 
 def assert_stacks_match_block_route(system, phi, tau):
     blocks, rows, energies = per_block_route(system, phi)
-    assert len(system.blocks) == len(blocks)
-    for ours, theirs in zip(system.blocks, blocks):
-        assert_same_bits(ours.indices, theirs.indices)
-        assert_same_bits(ours.eigenvalues, theirs.eigenvalues)
-        assert_same_bits(ours.eigenvectors, theirs.eigenvectors)
+    for (s, k), theirs in zip(block_order(system), blocks, strict=True):
+        values, vectors = system._decomposed[s]
+        for ours, their in zip((system.stacks[s].indices[k], values[k], vectors[k]), theirs):
+            assert_same_bits(ours, their)
     contraction = engine.contract_probe(system, phi)
     assert_same_bits(contraction.rows, rows)
     assert_same_bits(contraction.energies, energies)
@@ -244,15 +220,15 @@ def random_probe(rng, dim_a):
     return ProbeState(phi / np.linalg.norm(phi))
 
 
-@given(seed=st.integers(0, 10_000), nudged=st.booleans(), dense=st.booleans())
+@given(seed=st.integers(0, 10_000), nudged=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_stacks_match_the_block_by_block_route(seed, nudged, dense):
+def test_stacks_match_the_block_by_block_route(seed, nudged):
     # Blocks of sizes 1-3 only, so that most sizes repeat, at random indices,
     # so that a block often holds one b index twice (two a's, one b). A
     # nudged H carries an asymmetry inside the bound on one block, so that
-    # block is decomposed as its Hermitian part. The stacked solves, W, the
-    # energies and V must equal the block-by-block route bit for bit, built
-    # from the blocks or searched for in the dense H.
+    # block is decomposed as its Hermitian part. The stacked solves of the
+    # blocks searched for in the dense H, W, the energies and V must equal
+    # the block-by-block route bit for bit.
     rng = np.random.default_rng(seed)
     dim_a, dim_b = int(rng.integers(1, 4)), int(rng.integers(1, 6))
     d = dim_a * dim_b
@@ -268,10 +244,8 @@ def test_stacks_match_the_block_by_block_route(seed, nudged, dense):
         h[idx[0], idx[-1]] += 1e-12j * np.linalg.norm(h)
         assert not np.array_equal(h, h.conj().T)
     assert np.linalg.norm(h - h.conj().T) <= 1e-9 * np.linalg.norm(h)
-    system = (BipartiteSystem(dim_a, dim_b, h) if dense
-              else BipartiteSystem.from_blocks(dim_a, dim_b, [(idx, h[np.ix_(idx, idx)])
-                                                              for idx in parts]))
-    assert [list(idx) for idx in system.block_indices] == sorted(map(list, parts))
+    system = BipartiteSystem(dim_a, dim_b, h)
+    assert found_blocks(system) == sorted(idx.tolist() for idx in parts)
     assert_stacks_match_block_route(system, random_probe(rng, dim_a), rng.uniform(0.1, 3.0))
 
 
@@ -284,104 +258,71 @@ def test_stacks_match_the_block_by_block_route_on_chosen_systems():
     h[np.ix_([0, 2], [0, 2])] = [[0.5, 0.2], [0.2, -1.0]]
     h[np.ix_([3, 5], [3, 5])] = [[0.1, 0.7], [0.7, 0.9]]
     system = BipartiteSystem(2, 3, h)
-    assert [len(idx) for idx in system.block_indices] == [2, 2, 2]
+    assert [len(idx) for idx in found_blocks(system)] == [2, 2, 2]
     assert_stacks_match_block_route(system, random_probe(rng, 2), 0.8)
     # A lone large block, fully coupled, whose share of W is summed a range
     # of columns at a time (engine._ADD_AT_ENTRIES).
     a = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
     assert 300 * 300 > engine._ADD_AT_ENTRIES
     system = BipartiteSystem(3, 100, a + a.conj().T)
-    assert len(system.block_indices) == 1
+    assert len(found_blocks(system)) == 1
     assert_stacks_match_block_route(system, random_probe(rng, 3), 1.1)
     # The uncoupled oscillator: 144 single states, one stack of them.
     p = OscillatorParams(1.0, 1.0, 0.0, 0.5, beta=1.0, tau=1.0, n_max_a=12, n_max_b=12)
     system = build_hamiltonian(p)
-    assert len(system.stacks) == 1 and len(system.block_indices) == 144
+    assert len(system.stacks) == 1 and len(found_blocks(system)) == 144
     assert_stacks_match_block_route(system, ProbeState(coherent_state(0.5, 12)), p.tau)
     # The coupled oscillator: sizes 1-11 twice each and 12 once.
     system = build_hamiltonian(OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=1.0,
                                                 n_max_a=12, n_max_b=12))
-    assert len(system.stacks) == 12 and len(system.block_indices) == 23
+    assert len(system.stacks) == 12 and len(found_blocks(system)) == 23
     assert_stacks_match_block_route(system, ProbeState(coherent_state(0.5, 12)), 1.0)
 
 
-def test_from_blocks_keeps_each_given_block_whole():
-    # The first block's own pattern falls apart into {0, 2} and {1, 3}: the
-    # dense constructor splits it, but a given block is H's coupled block as
-    # it stands, and each empty block is dropped, a plain [] of indices too.
-    # V is the same to rounding.
-    rng = np.random.default_rng(11)
-
-    def hermitian(n):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return a + a.conj().T
-
-    split = np.zeros((4, 4), dtype=complex)
-    split[np.ix_([0, 2], [0, 2])] = hermitian(2)
-    split[np.ix_([1, 3], [1, 3])] = hermitian(2)
-    pair = hermitian(2)
-    h = np.zeros((6, 6), dtype=complex)
-    h[:4, :4] = split
-    h[np.ix_([5, 4], [5, 4])] = pair
-    built = BipartiteSystem.from_blocks(2, 3, [
-        ([5, 4], pair), (np.empty(0, dtype=int), np.zeros((0, 0))), ([0, 1, 2, 3], split),
-        ([], np.zeros((0, 0))),
-    ])
-    dense = BipartiteSystem(dim_a=2, dim_b=3, hamiltonian=h)
-    np.testing.assert_array_equal(built.hamiltonian, h)
-    assert [idx.tolist() for idx in built.block_indices] == [[0, 1, 2, 3], [4, 5]]
-    assert [idx.tolist() for idx in dense.block_indices] == [[0, 2], [1, 3], [4, 5]]
-    assert len(built.blocks) == 2
-    probe = ProbeState(np.array([0.6, 0.8j]))
-    np.testing.assert_allclose(build_projected_propagator(built, probe, 0.7).matrix,
-                               build_projected_propagator(dense, probe, 0.7).matrix,
-                               rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("blocks, message", [
-    ([([0, 1], np.eye(2)), ([1, 2, 3], np.eye(3))], r"partition range\(4\): 0 missing, 1 repeated"),
-    ([([0, 1], np.eye(2)), ([3], np.eye(1))], r"partition range\(4\): 1 missing, 0 repeated"),
-    ([([0, 1], np.eye(2)), ([2, 4], np.eye(2))], r"must lie in range\(4\)"),
-    ([([0, 1], np.eye(3)), ([2, 3], np.eye(2))], r"block 0 must be 2x2, got \(3, 3\)"),
-    ([([0, 1], np.eye(2)), ([2.0, 3.0], np.eye(2))], r"block 1 indices must be a 1-d integer"),
+@pytest.mark.parametrize("stacks, message", [
+    ([([[0, 1]], np.eye(2)[None]), ([[1, 2, 3]], np.eye(3)[None])],
+     r"partition range\(4\): 0 missing, 1 repeated"),
+    ([([[0, 1]], np.eye(2)[None]), ([[3]], np.eye(1)[None])],
+     r"partition range\(4\): 1 missing, 0 repeated"),
+    ([([[0, 1], [2, 4]], np.array([np.eye(2)] * 2))], r"must lie in range\(4\)"),
 ])
-def test_from_blocks_refuses_malformed_blocks(blocks, message):
+def test_stack_constructor_refuses_stacks_that_do_not_partition_the_basis(stacks, message):
     with pytest.raises(ValueError, match=message):
-        BipartiteSystem.from_blocks(2, 2, blocks)
+        BipartiteSystem._from_stacks(2, 2, stacks)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_from_blocks_refuses_a_block_with_non_finite_entries(bad):
+def test_stack_constructor_refuses_a_block_with_non_finite_entries(bad):
     block = np.eye(2, dtype=complex)
     block[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        BipartiteSystem.from_blocks(2, 2, [([0, 1], np.eye(2)), ([2, 3], block)])
+        BipartiteSystem._from_stacks(2, 2, [([[0, 1], [2, 3]], np.array([np.eye(2), block]))])
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
-def test_from_blocks_sums_the_symmetry_bound(factor):
+def test_stack_constructor_sums_the_symmetry_bound(factor):
     # Asymmetry at 0.5x or 2x the bound for the whole H, all of it in a
     # small block beside a large one: against its own norm the small block
     # is far from Hermitian either way, but only the whole H counts.
     rng = np.random.default_rng(5)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    big = (a + a.conj().T) * 1e4
+    big = (a + a.conj().T)[None] * 1e4
     small = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
     scale = np.hypot(np.linalg.norm(big), np.linalg.norm(small))
     # K is anti-Hermitian with ||K||_F = 1, so ||E - E†||_F = 2c for E = c K.
     k = np.array([[1j, 1.0], [-1.0, 1j]]) / 2
-    small = small + factor * 1e-9 * scale / 2 * k
-    blocks = [([0, 2, 4], big), ([1, 3], small), ([5], np.zeros((1, 1)))]
+    small = (small + factor * 1e-9 * scale / 2 * k)[None]
+    stacks = [([[0, 2, 4]], big), ([[1, 3]], small), ([[5]], np.zeros((1, 1, 1), dtype=complex))]
     h = np.zeros((6, 6), dtype=complex)
-    for idx, m in blocks:
-        h[np.ix_(idx, idx)] = m
+    for idx, m in stacks:
+        h[np.ix_(idx[0], idx[0])] = m[0]
     assert (np.linalg.norm(h - h.conj().T) <= 1e-9 * np.linalg.norm(h)) == (factor < 1)
     if factor > 1:
         with pytest.raises(ValueError, match=r"not Hermitian \(deviation"):
-            BipartiteSystem.from_blocks(2, 3, blocks)
+            BipartiteSystem._from_stacks(2, 3, stacks)
         return
-    sys_ = BipartiteSystem.from_blocks(2, 3, blocks)
-    assert sys_.block_matrices[0] is big  # a whole given block is kept, not copied
+    sys_ = BipartiteSystem._from_stacks(2, 3, stacks)
+    assert sys_.stacks[0].matrices is big  # a given stack is kept, not copied
     np.testing.assert_array_equal(sys_.hamiltonian, h)
 
 
@@ -425,7 +366,7 @@ HALF_V = ProjectedPropagator(matrix=np.eye(2) / 2, tau=1.0)
 @pytest.mark.parametrize("build, message", [
     (lambda: BipartiteSystem(dim_a=0, dim_b=2, hamiltonian=np.eye(0)),
      "dimensions must be positive"),
-    (lambda: BipartiteSystem.from_blocks(2, 0, []), "dimensions must be positive"),
+    (lambda: BipartiteSystem._from_stacks(2, 0, []), "dimensions must be positive"),
     (lambda: ProjectedPropagator(matrix=np.ones((2, 3)) / 3, tau=1.0),
      "propagator must be square, got shape (2, 3)"),
     (lambda: ProjectedPropagator(matrix=np.eye(2) / 2, tau=-1.0), "tau must be nonnegative"),

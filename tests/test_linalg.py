@@ -268,12 +268,21 @@ def search(h) -> BipartiteSystem:
     return BipartiteSystem(dim_a=1, dim_b=len(h), hamiltonian=h)
 
 
+def found_blocks(system):
+    """The index sets of the system's coupled blocks, read from its stacks
+    in the order of their block numbers."""
+    found = {}
+    for stack in system.stacks:
+        found.update(zip(stack.numbers.tolist(), stack.indices.tolist()))
+    return [found[number] for number in range(len(found))]
+
+
 def test_block_search_fully_coupled_is_one_block():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     system = search(a + a.conj().T)
-    assert len(system.block_indices) == len(system.blocks) == 1
-    np.testing.assert_array_equal(system.blocks[0].indices, np.arange(12))
+    assert found_blocks(system) == [list(range(12))]
+    assert system.stacks[0].matrices.shape == (1, 12, 12)
 
 
 def test_block_search_chain_and_isolated():
@@ -282,8 +291,7 @@ def test_block_search_chain_and_isolated():
     h[0, 3] = h[3, 0] = 0.5
     h[1, 3], h[3, 1] = 0.25j, -0.25j
     system = search(h)
-    assert [list(idx) for idx in system.block_indices] == [[0, 1, 3], [2], [4]]
-    assert [list(b.indices) for b in system.blocks] == [[0, 1, 3], [2], [4]]
+    assert found_blocks(system) == [[0, 1, 3], [2], [4]]
 
 
 def test_block_search_checks_symmetry():
@@ -301,10 +309,10 @@ def test_block_search_symmetry_is_relative_to_whole_matrix():
     h[:2, :2] = [[100.0, 30.0], [30.0, -50.0]]
     h[2:, 2:] = [[0.0, 1e-3], [1e-3 + 1e-11, 0.0]]
     whole = hermitian_eigendecompose(h)
-    blocks = search(h).blocks
-    assert [list(b.indices) for b in blocks] == [[0, 1], [2, 3]]
+    system = search(h)
+    assert found_blocks(system) == [[0, 1], [2, 3]]
     np.testing.assert_allclose(
-        np.sort(np.concatenate([b.eigenvalues for b in blocks])),
+        np.sort(np.concatenate([values.ravel() for values, _ in system._decomposed])),
         whole.eigenvalues, rtol=0, atol=1e-12,
     )
     with pytest.raises(NotHermitian):
@@ -324,12 +332,12 @@ def test_block_search_reconstructs_hidden_blocks(seed):
         start += m
     perm = rng.permutation(len(h))
     h = h[np.ix_(perm, perm)]
-    blocks = search(h).blocks
-    assert sorted(len(b.indices) for b in blocks) == sorted(sizes)
+    system = search(h)
+    assert sorted(map(len, found_blocks(system))) == sorted(sizes)
     rebuilt = np.zeros_like(h)
-    for b in blocks:
-        q = b.eigenvectors
-        rebuilt[np.ix_(b.indices, b.indices)] = (q * b.eigenvalues) @ q.conj().T
+    for stack, (values, vectors) in zip(system.stacks, system._decomposed):
+        for idx, e, q in zip(stack.indices, values, vectors):
+            rebuilt[np.ix_(idx, idx)] = (q * e) @ q.conj().T
     np.testing.assert_allclose(rebuilt, h, atol=1e-12)
 
 

@@ -19,7 +19,7 @@ from zenopure.engine import (
     trace_distance,
 )
 from zenopure import oscillator as osc
-from zenopure.linalg import unitary_exponential, unitary_from_blocks
+from zenopure.linalg import unitary_exponential
 from zenopure.oscillator import (
     ClosedFormCoefficients,
     CutoffTooSmall,
@@ -286,23 +286,22 @@ def test_hamiltonian_matches_kron_construction(n_max_a, n_max_b):
        seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_block_built_system_matches_dense_route(n_max_a, n_max_b, g, detuning, seed):
-    # build_hamiltonian hands its excitation blocks to the block constructor;
+    # build_hamiltonian hands its excitation blocks to the stack constructor;
     # the system built from the whole kron H must come out the same, bit for
-    # bit: the same blocks in the same order (at g = 0 every state is a
-    # block of its own), the same decompositions, V and dense H.
+    # bit: the same stacks of the same blocks, numbered alike (at g = 0 every
+    # state is a block of its own), the same decompositions, V and dense H.
     p = OscillatorParams(1.0 + detuning, 1.0, g, 0.0, beta=1.0, tau=1.0,
                          n_max_a=n_max_a, n_max_b=n_max_b)
     built = build_hamiltonian(p)
     dense = BipartiteSystem(dim_a=n_max_a, dim_b=n_max_b, hamiltonian=kron_hamiltonian(p))
-    assert len(built.block_indices) == len(dense.block_indices)
-    for ours, theirs, m_ours, m_theirs in zip(built.block_indices, dense.block_indices,
-                                              built.block_matrices, dense.block_matrices):
-        np.testing.assert_array_equal(ours, theirs)
-        np.testing.assert_array_equal(m_ours, m_theirs)
-    for ours, theirs in zip(built.blocks, dense.blocks):
+    assert len(built.stacks) == len(dense.stacks)
+    for ours, theirs in zip(built.stacks, dense.stacks):
+        np.testing.assert_array_equal(ours.numbers, theirs.numbers)
         np.testing.assert_array_equal(ours.indices, theirs.indices)
-        np.testing.assert_array_equal(ours.eigenvalues, theirs.eigenvalues)
-        np.testing.assert_array_equal(ours.eigenvectors, theirs.eigenvectors)
+        np.testing.assert_array_equal(ours.matrices, theirs.matrices)
+    for ours, theirs in zip(built._decomposed, dense._decomposed):
+        np.testing.assert_array_equal(ours[0], theirs[0])
+        np.testing.assert_array_equal(ours[1], theirs[1])
     rng = np.random.default_rng(seed)
     phi = rng.standard_normal(n_max_a) + 1j * rng.standard_normal(n_max_a)
     probe = ProbeState(phi / np.linalg.norm(phi))
@@ -327,7 +326,8 @@ def test_hamiltonian_excitation_blocks():
     # n_a + n_b is conserved: 59 blocks at cutoff 30, the largest (n = 29)
     # holding 30 states, each block of one total excitation number.
     h = build_hamiltonian(REFERENCE).hamiltonian
-    blocks = BipartiteSystem(dim_a=30, dim_b=30, hamiltonian=h).block_indices
+    stacks = BipartiteSystem(dim_a=30, dim_b=30, hamiltonian=h).stacks
+    blocks = [idx for stack in stacks for idx in stack.indices]
     assert len(blocks) == 59
     assert max(len(b) for b in blocks) == 30
     for idx in blocks:
@@ -563,14 +563,20 @@ def test_normal_ordered_propagator_matches_expm_form(base, interval):
                                    scipy.linalg.expm(coef * b.conj().T), rtol=0, atol=1e-13)
 
 
-def assembled_propagators(p: OscillatorParams, blocks):
-    """Both D x D propagators scattered block by block, as a plain loop."""
-    d = p.n_max_a * p.n_max_b
+def assembled_unitary(system: BipartiteSystem, t: float) -> np.ndarray:
+    """exp(-iHt) scattered block by block from the system's decomposition of
+    its stacks, as a plain loop."""
+    d = system.dim_a * system.dim_b
     direct = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        q = b.eigenvectors
-        phases = np.exp(-1j * b.eigenvalues * p.tau)
-        direct[np.ix_(b.indices, b.indices)] = (q * phases) @ q.conj().T
+    for stack, (values, vectors) in zip(system.stacks, system._decomposed):
+        for idx, e, q in zip(stack.indices, values, vectors):
+            direct[np.ix_(idx, idx)] = (q * np.exp(-1j * e * t)) @ q.conj().T
+    return direct
+
+
+def assembled_product(p: OscillatorParams) -> np.ndarray:
+    """The D x D four-factor product scattered block by block, as a plain loop."""
+    d = p.n_max_a * p.n_max_b
     c = coefficients(p)
     occ_a, occ_b = np.divmod(np.arange(d), p.n_max_b)
     product = np.zeros((d, d), dtype=complex)
@@ -583,34 +589,56 @@ def assembled_propagators(p: OscillatorParams, blocks):
             (osc._shift_exponential(c.a_coef, shifts) * diagonal)
             @ osc._shift_exponential(-c.a_coef, shifts).T
         )
-    return direct, product
+    return product
 
 
-@pytest.mark.parametrize("n_max_a, n_max_b", [(10, 10), (10, 7)])
+def searched_system() -> BipartiteSystem:
+    """A 3 x 4 system whose dense H is searched for its coupled blocks:
+    blocks of sizes 1, 2 and 3, solved through twins and by the complex
+    eigh, one of which holds b = 1 twice, under a = 0 and a = 1."""
+    rng = np.random.default_rng(29)
+    h = np.zeros((12, 12), dtype=complex)
+    for idx in ([1, 5], [0, 2, 7], [3], [4, 9], [6, 10, 11], [8]):
+        a = rng.standard_normal((len(idx),) * 2) + 1j * rng.standard_normal((len(idx),) * 2)
+        h[np.ix_(idx, idx)] = a + a.conj().T
+    return BipartiteSystem(dim_a=3, dim_b=4, hamiltonian=h)
+
+
+@pytest.mark.parametrize("n_max_a, n_max_b", [
+    (10, 10), (10, 7), pytest.param(None, None, id="searched"),
+])
 def test_restricted_propagators_equal_the_whole_ones(n_max_a, n_max_b):
     # Whole or restricted to a set of composite indices, in any order and
     # with repeats, both routes give the entries the block-by-block loop
     # puts there, bit for bit; compare relies on this to print its interior
-    # deviation unchanged.
-    p = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=2.3,
-                         n_max_a=n_max_a, n_max_b=n_max_b)
-    d = n_max_a * n_max_b
-    blocks = build_hamiltonian(p).blocks
-    direct, product = assembled_propagators(p, blocks)
-    np.testing.assert_array_equal(unitary_from_blocks(blocks, p.tau), direct)
-    np.testing.assert_array_equal(factorized_propagator(p), product)
-    zero = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=0.0,
-                            n_max_a=n_max_a, n_max_b=n_max_b)
-    interior = [a * n_max_b + b for a in range(6) for b in range(6)]
-    scattered = np.random.default_rng(5).choice(d, size=40, replace=False)
-    repeated = [3, 17, 3, d - 1, 0, 17]
+    # deviation unchanged. The searched system has no four-factor product:
+    # only its exp(-iHt) is checked.
+    tau = 2.3
+    if n_max_a is None:
+        system = searched_system()
+    else:
+        p = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=tau,
+                             n_max_a=n_max_a, n_max_b=n_max_b)
+        zero = OscillatorParams(1.0, 1.0, 0.2, 0.5, beta=1.0, tau=0.0,
+                                n_max_a=n_max_a, n_max_b=n_max_b)
+        system = build_hamiltonian(p)
+        product = assembled_product(p)
+        np.testing.assert_array_equal(factorized_propagator(p), product)
+    d, dim_b = system.dim_a * system.dim_b, system.dim_b
+    direct = assembled_unitary(system, tau)
+    np.testing.assert_array_equal(system.unitary(tau), direct)
+    side = min(6, system.dim_a, dim_b)
+    interior = [a * dim_b + b for a in range(side) for b in range(side)]
+    scattered = np.random.default_rng(5).choice(d, size=min(40, d - 2), replace=False)
+    twice = min(17, d - 2)
+    repeated = [3, twice, 3, d - 1, 0, twice]
     for idx in (interior, scattered, repeated):
         sub = np.ix_(idx, idx)
-        np.testing.assert_array_equal(
-            unitary_from_blocks(blocks, p.tau, indices=idx), direct[sub])
-        np.testing.assert_array_equal(factorized_propagator(p, indices=idx), product[sub])
-        np.testing.assert_array_equal(
-            factorized_propagator(zero, indices=idx), np.eye(d)[sub])
+        np.testing.assert_array_equal(system.unitary(tau, indices=idx), direct[sub])
+        if n_max_a is not None:
+            np.testing.assert_array_equal(factorized_propagator(p, indices=idx), product[sub])
+            np.testing.assert_array_equal(
+                factorized_propagator(zero, indices=idx), np.eye(d)[sub])
 
 
 # --------------------------------------------------------------- tunings
